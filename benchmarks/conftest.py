@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md §4 for the full index) and prints the reproduced table.  Because
+Every benchmark regenerates one of the paper's tables or figures (its file
+name, ``bench_fig*``/``bench_table*``/``bench_sens*``/``bench_ablation*``,
+says which; see "Reproducing paper figures" in the README) and prints the
+reproduced table.  Because
 these are trace-driven simulations rather than micro-kernels, each experiment
 is executed exactly once per benchmark run (``benchmark.pedantic`` with one
 round); the recorded time is the end-to-end cost of reproducing that figure.

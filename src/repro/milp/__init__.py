@@ -19,7 +19,7 @@ scratch:
   solver).
 * :mod:`repro.milp.structure` — the structure-aware path that recognizes
   WaterWise placement forms and solves them as capacitated assignment
-  problems.
+  problems (a min-cost flow over the regions when capacity binds).
 * :mod:`repro.milp.session` — :class:`~repro.milp.session.SolverSession`,
   the warm-start basis store threaded across scheduling rounds.
 * :mod:`repro.milp.scipy_backend` — the same problems solved through SciPy's

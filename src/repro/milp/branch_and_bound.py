@@ -87,8 +87,6 @@ def solve_milp_arrays(
     node_limit: int = 10_000,
     time_limit: float | None = None,
     session=None,
-    prepared_lp: BoundedLP | None = None,
-    root_basis: Basis | None = None,
 ) -> BranchAndBoundResult:
     """Solve the MILP described by ``form`` with branch & bound.
 
@@ -113,14 +111,6 @@ def solve_milp_arrays(
         Optional :class:`~repro.milp.session.SolverSession`; records per-node
         warm/cold iteration counts and seeds the root from a previous tree of
         the same shape.
-    prepared_lp:
-        A :class:`BoundedLP` already built for ``form``'s constraint system
-        (e.g. by the structured placement path, which solved the root
-        relaxation on it moments earlier); skips re-assembly.
-    root_basis:
-        Warm start for the root relaxation — callers that just solved the
-        unrestricted LP pass its optimal basis so the root costs ~0 pivots.
-        Falls back to the session's stored tree basis when omitted.
     """
     start = time.perf_counter()
     integrality = form.integrality
@@ -128,15 +118,15 @@ def solve_milp_arrays(
 
     lp: BoundedLP | None = None
     if lp_backend is None:
-        lp = prepared_lp if prepared_lp is not None else BoundedLP(
+        lp = BoundedLP(
             form.c, form.sparse().a_ub, form.b_ub, form.sparse().a_eq, form.b_eq,
             form.lower, form.upper,
         )
     session_key = None
+    root_basis: Basis | None = None
     if lp is not None and session is not None:
         session_key = ("bb", lp.n, lp.m_ub, lp.m_eq)
-        if root_basis is None:
-            root_basis = session.basis_for(session_key)
+        root_basis = session.basis_for(session_key)
 
     counter = itertools.count()
     root = _Node(

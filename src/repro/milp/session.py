@@ -30,12 +30,12 @@ class SolverStats:
     """Aggregate counters over every solve routed through one session."""
 
     solves: int = 0
-    #: Solves answered by the structured placement path without any simplex
-    #: iterations (per-job argmin, capacity slack).
+    #: Solves answered by the structured placement path without any solver
+    #: work (per-job argmin, capacity slack).
     structured_trivial: int = 0
-    #: Structured solves that needed the transportation LP relaxation.
+    #: Capacity-bound structured solves (relaxation solved as a min-cost flow).
     structured_lp: int = 0
-    #: Structured solves whose relaxation was fractional → branch & bound.
+    #: Structured solves whose relaxation split a job → branch & bound.
     structured_bb: int = 0
     warm_starts: int = 0
     cold_starts: int = 0

@@ -14,8 +14,9 @@ by variable name.  Four solver names are accepted:
 ``"structured"``
     The structure-aware path (:mod:`repro.milp.structure`): recognizes
     WaterWise placement forms and solves them as capacitated assignment
-    problems, skipping branch & bound whenever the relaxation is integral.
-    Forms it does not recognize degrade to the native core.
+    problems — capacity-bound rounds as a min-cost flow, with branch & bound
+    only when the flow splits a job.  Forms it does not recognize degrade to
+    the native core.
 ``"auto"`` (the default)
     Structured when the form is recognized, otherwise SciPy, falling back to
     the native core when SciPy is unavailable.

@@ -13,21 +13,33 @@ structural facts the generic solvers cannot see:
   for a placement is ``σ · max(0, ratio − TOL)``, a constant that folds into
   the objective coefficient.  Either way the MILP collapses to a pure
   capacitated assignment (transportation) problem.
-* **The collapsed problem is usually trivially or LP-solvable.**  When every
-  job's cheapest allowed region leaves capacity slack, the per-job argmin *is*
-  the optimum — no simplex at all.  Otherwise the LP relaxation is solved;
-  assignment/capacity structure makes it integral in almost every round, in
-  which case branch & bound is skipped entirely.  Fractional relaxations
-  (possible because ``servers_required`` varies per job) fall back to branch
-  & bound on the *collapsed* form, which is both smaller and warm-startable.
+* **The collapsed problem is a transportation problem over N regions.**
+  When every job's cheapest allowed region leaves capacity slack, the per-job
+  argmin *is* the optimum — no solve at all.  Otherwise the LP relaxation is
+  solved exactly as a min-cost flow in server units (job ``j`` supplies
+  ``servers_j``, region ``r`` absorbs at most ``capacity_r``), with no LP
+  solver and no SciPy.  The flow is integral because supplies and capacities
+  are; a job split across regions (possible only with ``servers_j > 1``) is a
+  fractional relaxation and falls back to branch & bound on the *collapsed*
+  form.
 
-The relaxation engine is size-gated: ordinary rounds run on the warm-started
-native revised simplex (sessions carry the previous round's basis), while the
-rare saturated rounds — hundreds of jobs competing for the last server slots
-— go to HiGHS when SciPy is importable, whose dual simplex handles
-thousand-variable transportation LPs in milliseconds.  The gate depends only
-on the problem dimensions, so the scalar and batch engines always pick the
-same engine and stay decision-equivalent.
+The flow starts from the per-job argmin, a pseudo-flow whose reduced costs
+are all ≥ 0, and pushes each overloaded region's excess, in region order,
+along shortest paths to regions with slack.  The paths run over the N region
+nodes: arc ``a → b`` costs ``min over jobs j in a of (c_jb − c_ja) / s_j``.
+Each arc keeps a lazily-invalidated heap of its jobs, and a job that moves is
+pushed only into its new region's heaps.  Moving a job back is a negative
+arc, so paths come from Bellman-Ford; the residual graph never has a negative
+cycle.  An excess that can reach no region with slack proves the relaxation,
+and so the MILP, infeasible.
+
+Tie rule among optimal solutions (the solver is deterministic, so decisions
+are a pure function of the round's arrays):
+
+* among equal-cost moves on an arc, the lowest job index moves first;
+* among equally short paths to regions with slack, the lowest region index
+  is the target;
+* the per-job argmin breaks ties on the lowest region index.
 
 Every answer is exact: the collapsed problem has the same integer feasible
 set and objective values as the original MILP, so optima transfer verbatim.
@@ -36,12 +48,12 @@ set and objective values as the original MILP, so optima transfer verbatim.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import time
 
 import numpy as np
 
 from repro.milp.problem import StandardForm
-from repro.milp.revised_simplex import BoundedLP
 from repro.milp.session import SolverSession
 from repro.milp.sparse import CsrMatrix
 from repro.milp.status import SolveStatus
@@ -49,17 +61,12 @@ from repro.milp.status import SolveStatus
 __all__ = ["PlacementStructure", "detect_placement", "solve_placement"]
 
 _FEAS_TOL = 1e-9
-_INT_TOL = 1e-6
-#: Collapsed problems with more variables than this go to HiGHS (when SciPy
-#: is importable).  Warm bases are keyed by the collapsed problem's exact
-#: dimensions, and scheduling-round batch sizes vary round to round, so
-#: mid-size rounds hit the native engine cold far more often than warm —
-#: where HiGHS is a large multiple faster (measured ~5 ms vs ~35 ms at a few
-#: hundred variables).  Only small rounds, where the native engine solves in
-#: well under a millisecond either way, stay native.  The gate is a pure
-#: function of the problem dimensions so every engine/run makes the same
-#: choice.
-_LARGE_LP_VARIABLES = 48
+#: Slack in the shortest-path relaxation, relative to the largest unit move
+#: cost, so float round-off on a zero-cost cycle cannot pass as a shorter path.
+_PATH_TOL = 1e-12
+#: Fractional rounds whose collapsed form has more variables than this go to
+#: HiGHS's MILP (when SciPy is importable) instead of the native B&B.
+_HIGHS_BB_VARIABLES = 48
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,52 +251,34 @@ def solve_placement(
             stats.solve_time_s += time.perf_counter() - start
         return SolveStatus.OPTIMAL, x, objective, 0, 0, time.perf_counter() - start
 
-    # -- capacity binds: transportation LP relaxation ------------------------
-    reduced = _reduced_form(struct, eff_cost, allowed)
-    use_scipy = reduced.num_variables > _LARGE_LP_VARIABLES and _scipy_available()
-    lp: BoundedLP | None = None
-    basis = None
-    if use_scipy:
-        sol = _scipy_relaxation(reduced, time_limit=time_limit)
-    else:
-        lp = BoundedLP(
-            reduced.c, reduced.a_ub, reduced.b_ub, reduced.a_eq, reduced.b_eq,
-            reduced.lower, reduced.upper,
-        )
-        key = ("placement", m, n)
-        warm_basis = session.basis_for(key) if session is not None else None
-        sol, basis = lp.solve(basis=warm_basis, time_limit=time_limit)
-        if session is not None:
-            session.record_lp(sol.iterations, sol.warm_used)
-            session.store_basis(key, basis)
+    # -- capacity binds: min-cost flow repair of the argmin ------------------
     if stats is not None:
         stats.structured_lp += 1
-
-    if sol.status is SolveStatus.INFEASIBLE:
+    flow, augmentations = _transport_flow(eff_cost, struct.servers, struct.capacity, chosen, loads)
+    if flow is None:
         if stats is not None:
             stats.solve_time_s += time.perf_counter() - start
         return (
-            SolveStatus.INFEASIBLE, nan_x, np.nan, sol.iterations, 0,
+            SolveStatus.INFEASIBLE, nan_x, np.nan, augmentations, 0,
             time.perf_counter() - start,
         )
-    if sol.status is SolveStatus.OPTIMAL:
-        placements = sol.x.reshape(m, n)
-        if np.abs(placements - np.round(placements)).max() <= _INT_TOL:
-            chosen = np.argmax(placements, axis=1)
-            x, objective = _assemble_solution(form, struct, chosen)
-            if stats is not None:
-                stats.solve_time_s += time.perf_counter() - start
-            return SolveStatus.OPTIMAL, x, objective, sol.iterations, 0, \
-                time.perf_counter() - start
+    if all(len(placed) == 1 for placed in flow):
+        chosen = np.fromiter((next(iter(placed)) for placed in flow), dtype=np.int64, count=m)
+        x, objective = _assemble_solution(form, struct, chosen)
+        if stats is not None:
+            stats.solve_time_s += time.perf_counter() - start
+        return SolveStatus.OPTIMAL, x, objective, augmentations, 0, \
+            time.perf_counter() - start
 
-    # -- fractional relaxation (or LP trouble): branch & bound on the
-    #    collapsed form — warm-started native B&B for ordinary sizes, HiGHS
-    #    for saturated rounds.  The relaxation already spent part of the
+    # -- fractional relaxation (a multi-server job split across regions):
+    #    branch & bound on the collapsed form — native for small forms, HiGHS
+    #    (when importable) for large ones.  The flow already spent part of the
     #    round's wall-clock budget, so only the remainder is handed on.
+    reduced = _reduced_form(struct, eff_cost, allowed)
     remaining = None
     if time_limit is not None:
         remaining = max(0.0, time_limit - (time.perf_counter() - start))
-    if use_scipy:
+    if reduced.num_variables > _HIGHS_BB_VARIABLES and _scipy_available():
         from repro.milp.scipy_backend import solve_form_scipy
 
         status, x_red, _objective, bb_nodes, _seconds = solve_form_scipy(
@@ -301,9 +290,9 @@ def solve_placement(
 
         bb = solve_milp_arrays(
             reduced, node_limit=node_limit, time_limit=remaining, session=session,
-            prepared_lp=lp, root_basis=basis,
         )
         status, x_red, bb_nodes, bb_iterations = bb.status, bb.x, bb.nodes, bb.iterations
+    bb_iterations += augmentations
     if stats is not None:
         stats.structured_bb += 1
         stats.bb_nodes += bb_nodes
@@ -327,29 +316,132 @@ def _scipy_available() -> bool:
     return True
 
 
-def _scipy_relaxation(reduced: StandardForm, time_limit: float | None = None):
-    """HiGHS on the collapsed LP relaxation (sparse constraint blocks)."""
-    from scipy import optimize
+def _transport_flow(
+    eff_cost: np.ndarray,
+    servers: np.ndarray,
+    capacity: np.ndarray,
+    chosen: np.ndarray,
+    loads: np.ndarray,
+) -> tuple[list[dict[int, float]] | None, int]:
+    """Exact LP relaxation of the collapsed placement problem as a min-cost flow.
 
-    from repro.milp.scipy_backend import _LINPROG_STATUS, _as_scipy_csr
-    from repro.milp.simplex import LPSolution
+    Starts from the per-job argmin ``chosen`` (region loads ``loads``) and
+    pushes every overloaded region's excess, in region order, along shortest
+    paths of the residual region graph to the nearest region with slack (see
+    the module docstring for the graph and the tie rule).  Returns
+    ``(flow, augmentations)``: ``flow[j]`` maps region → server units of job
+    ``j``, and is ``None`` when an excess can reach no region with slack —
+    the relaxation, hence the MILP, is infeasible.
+    """
+    m, n = eff_cost.shape
+    servers_list = servers.tolist()
+    cost_rows = eff_cost.tolist()
+    flow = [{region: amount} for region, amount in zip(chosen.tolist(), servers_list)]
 
-    options = {"time_limit": float(time_limit)} if time_limit is not None else None
-    result = optimize.linprog(
-        reduced.c,
-        A_ub=_as_scipy_csr(reduced.a_ub),
-        b_ub=reduced.b_ub,
-        A_eq=_as_scipy_csr(reduced.a_eq),
-        b_eq=reduced.b_eq,
-        bounds=np.stack([reduced.lower, reduced.upper], axis=1),
-        method="highs",
-        options=options,
-    )
-    status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
-    n = reduced.num_variables
-    x = np.asarray(result.x, dtype=float) if result.x is not None else np.full(n, np.nan)
-    objective = float(result.fun) if result.fun is not None else np.nan
-    return LPSolution(status, x, objective, int(getattr(result, "nit", 0) or 0))
+    # heaps[a][b]: (unit cost of moving j from a to b, j) for the jobs with
+    # flow in a.  Entries go stale when j leaves a and are dropped lazily.
+    # Zero-server jobs use no capacity, so they never move.
+    movable = servers > 0.0
+    unit = (eff_cost - eff_cost[np.arange(m), chosen][:, None]) / np.where(
+        movable, servers, 1.0
+    )[:, None]
+    heaps: list[list[list[tuple[float, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        jobs = np.flatnonzero(movable & (chosen == a))
+        if not len(jobs):
+            continue
+        keys = unit[jobs]
+        # A stable sort keeps equal keys in job order, and a sorted list is a
+        # heap.  Forbidden targets (infinite keys) sort last and are cut.
+        order = np.argsort(keys, axis=0, kind="stable")
+        for b in range(n):
+            if b != a:
+                sorted_keys = keys[order[:, b], b]
+                finite = int(np.isfinite(sorted_keys).sum())
+                heaps[a][b] = list(zip(
+                    sorted_keys[:finite].tolist(), jobs[order[:finite, b]].tolist()
+                ))
+
+    inf = float("inf")
+    finite_unit = unit[np.isfinite(unit)]
+    path_tol = _PATH_TOL * (1.0 + (float(np.abs(finite_unit).max()) if finite_unit.size else 0.0))
+    # arc[a][b]: cost of the cheapest move a → b (inf: none), kept current
+    # for the rows the last augmentation touched.
+    arc = [[inf] * n for _ in range(n)]
+
+    def refresh(a: int) -> None:
+        row = arc[a]
+        for b, heap in enumerate(heaps[a]):
+            while heap and a not in flow[heap[0][1]]:
+                heapq.heappop(heap)
+            row[b] = heap[0][0] if heap else inf
+
+    for a in range(n):
+        refresh(a)
+    excess = (loads - capacity).tolist()
+    augmentations = 0
+    for source in range(n):
+        while excess[source] > _FEAS_TOL:
+            # Bellman-Ford: moving a job back to a cheaper region is a
+            # negative arc, but the residual graph has no negative cycle.
+            dist = [inf] * n
+            dist[source] = 0.0
+            pred = [-1] * n
+            for _ in range(n - 1):
+                changed = False
+                for a in range(n):
+                    here = dist[a]
+                    if here == inf:
+                        continue
+                    row = arc[a]
+                    for b in range(n):
+                        d = here + row[b]
+                        if d + path_tol < dist[b]:
+                            dist[b] = d
+                            pred[b] = a
+                            changed = True
+                if not changed:
+                    break
+            target, best = -1, inf
+            for t in range(n):
+                if excess[t] < -_FEAS_TOL and dist[t] < best:
+                    target, best = t, dist[t]
+            if target < 0:
+                return None, augmentations
+
+            path = []
+            node = target
+            while node != source:
+                if len(path) == n:  # unreachable without a negative cycle
+                    raise RuntimeError("negative cycle in the residual region graph")
+                a = pred[node]
+                path.append((a, node, heaps[a][node][0][1]))
+                node = a
+            delta = min(excess[source], -excess[target], *(flow[j][a] for a, _b, j in path))
+            for a, b, j in path:
+                placed = flow[j]
+                left = placed[a] - delta
+                if left > _FEAS_TOL:
+                    placed[a] = left
+                else:
+                    del placed[a]
+                if b in placed:
+                    placed[b] += delta
+                    continue
+                placed[b] = delta
+                row, size, out = cost_rows[j], servers_list[j], arc[b]
+                for x in range(n):
+                    if x != b and row[x] != inf:
+                        key = (row[x] - row[b]) / size
+                        heapq.heappush(heaps[b][x], (key, j))
+                        if key < out[x]:
+                            out[x] = key
+            for a, _b, _j in path:
+                refresh(a)
+            excess[source] -= delta
+            excess[target] += delta
+            augmentations += 1
+    return flow, augmentations
 
 
 def _reduced_form(

@@ -208,20 +208,19 @@ def _least_load_fast_path(
     """Each job to the emptiest region, updating the view as the batch lands.
 
     The argmax loop is sequential by definition (job *i+1* sees job *i*'s
-    placement), but it runs over a dense float vector; ``np.argmax`` breaks
-    ties on the first maximum, matching the scalar implementation's
-    smallest-region-index tie-break.
+    placement), so it runs on plain lists; ``index(max(...))`` breaks ties on
+    the first maximum, as ``np.argmax`` and the scalar implementation's
+    smallest-region-index tie-break do.
     """
     if not context.region_keys:
         raise ValueError("least-load needs at least one region")
-    remaining = context.capacity.astype(float).copy()
-    servers = context.jobs.servers[context.batch]
-    choice = np.empty(context.batch_size, dtype=np.int64)
-    for i in range(context.batch_size):
-        target = int(np.argmax(remaining))
-        choice[i] = target
-        remaining[target] -= servers[i]
-    return choice
+    remaining = context.capacity.astype(float).tolist()
+    choice = []
+    for need in context.jobs.servers[context.batch].tolist():
+        target = remaining.index(max(remaining))
+        choice.append(target)
+        remaining[target] -= need
+    return np.array(choice, dtype=np.int64)
 
 
 def _ecovisor_fast_path(
@@ -260,7 +259,7 @@ def _greedy_optimal_fast_path(
     whole batch (plus the batch transfer matrix), leaving only the scalar
     implementation's scan-and-tie-break logic — replicated comparison for
     comparison, including its ``1e-12`` improvement threshold and capacity
-    fallback ``argsort`` — in the per-job loop.
+    fallback ``argsort`` — in the per-job loop, which reads plain-list rows.
     """
     keys = context.region_keys
     n_regions = len(keys)
@@ -271,28 +270,29 @@ def _greedy_optimal_fast_path(
     m = len(batch)
     energy = jobs.energy_est[batch]
     exec_est = jobs.exec_est[batch]
-    home = jobs.home_idx[batch]
-    servers_req = jobs.servers[batch]
+    home = jobs.home_idx[batch].tolist()
+    servers_req = jobs.servers[batch].tolist()
     interval = context.scheduling_interval_s
-    transfers = batch_transfer_matrix(context)
+    transfers = batch_transfer_matrix(context).tolist()
     # Remaining delay the tolerance still allows with a free transfer
     # (the scalar `_max_extra_delay(job, context, 0.0)`).
-    slack = context.delay_tolerance * exec_est - context.wait_times
+    slack = (context.delay_tolerance * exec_est - context.wait_times).tolist()
 
     footprints = context.footprints
     if scheduler.objective == "carbon":
         matrix_at = footprints.carbon_matrix_arrays
     else:
         matrix_at = footprints.water_matrix_arrays
-    matrices: dict[int, np.ndarray] = {}
+    matrices: dict[int, tuple[np.ndarray, list[list[float]]]] = {}
 
-    def footprint_matrix(delay_rounds: int) -> np.ndarray:
-        matrix = matrices.get(delay_rounds)
-        if matrix is None:
+    def footprint_matrix(delay_rounds: int) -> tuple[np.ndarray, list[list[float]]]:
+        """The M×N footprint matrix for a start ``delay_rounds`` away, and its rows."""
+        cached = matrices.get(delay_rounds)
+        if cached is None:
             start_time = context.now + delay_rounds * interval
             matrix = matrix_at(energy, exec_est, keys, start_time)
-            matrices[delay_rounds] = matrix
-        return matrix
+            cached = matrices[delay_rounds] = (matrix, matrix.tolist())
+        return cached
 
     remaining = [int(v) for v in context.capacity]
     max_rounds = scheduler.max_lookahead_rounds
@@ -306,7 +306,7 @@ def _greedy_optimal_fast_path(
         for delay_rounds in range(max_rounds + 1):
             if delay_rounds > 0 and delay_rounds * interval > job_slack + 1e-9:
                 break  # any further delay violates the tolerance in every region
-            row = footprint_matrix(delay_rounds)[pos]
+            row = footprint_matrix(delay_rounds)[1][pos]
             extra_wait = delay_rounds * interval
             for idx in range(n_regions):
                 if extra_wait + transfer_row[idx] > job_slack + 1e-9:
@@ -318,16 +318,14 @@ def _greedy_optimal_fast_path(
             if delay_rounds == 0 and best_region < 0:
                 # Even immediate execution violates the tolerance everywhere;
                 # fall back to the home region now (damage control).
-                best_region = int(home[pos])
+                best_region = home[pos]
                 best_delay = 0
                 break
         if best_region < 0:
-            best_region = int(home[pos])
+            best_region = home[pos]
             best_delay = 0
 
-        can_defer = best_delay > 0 and interval <= job_slack - float(
-            np.min(transfer_row)
-        ) + 1e-9
+        can_defer = best_delay > 0 and interval <= job_slack - min(transfer_row) + 1e-9
         if can_defer:
             choice[pos] = DEFER
             continue
@@ -335,11 +333,11 @@ def _greedy_optimal_fast_path(
         # Start now: take the best region among those with remaining capacity.
         servers = int(servers_req[pos])
         if remaining[best_region] < servers:
-            row = footprint_matrix(0)[pos]
-            order = np.argsort(row)
+            # np.argsort, not sorted(): its order among tied footprints is the
+            # scalar oracle's.
+            order = np.argsort(footprint_matrix(0)[0][pos]).tolist()
             chosen = -1
             for idx in order:
-                idx = int(idx)
                 if remaining[idx] >= servers and transfer_row[idx] <= job_slack + 1e-9:
                     chosen = idx
                     break
@@ -348,7 +346,7 @@ def _greedy_optimal_fast_path(
                 if interval <= job_slack + 1e-9:
                     choice[pos] = DEFER
                     continue
-                chosen = int(home[pos])
+                chosen = home[pos]
             best_region = chosen
         choice[pos] = best_region
         remaining[best_region] -= servers

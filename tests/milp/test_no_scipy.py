@@ -4,14 +4,15 @@
 fallback is only real if importing :mod:`repro.milp` and solving through the
 native/structured paths never touches SciPy.  This test runs a fresh
 interpreter with a meta-path hook that blocks every ``scipy`` import and
-exercises an LP, a MILP and a placement form end to end.
+exercises an LP, a MILP and a placement form end to end, then a short
+WaterWise simulation whose capacity-bound rounds all solve as min-cost flows.
 """
 
 import pathlib
 import subprocess
 import sys
 
-_SCRIPT = r"""
+_BLOCK_SCIPY = r"""
 import sys
 
 class _BlockScipy:
@@ -21,7 +22,9 @@ class _BlockScipy:
         return None
 
 sys.meta_path.insert(0, _BlockScipy())
+"""
 
+_SCRIPT = _BLOCK_SCIPY + r"""
 import numpy as np
 
 from repro.milp import Problem, Variable, VarType, solve
@@ -50,8 +53,8 @@ milp.add_constraint(1.9 * a + 0.9 * b <= 4.0)
 result = solve(milp, solver="auto")
 assert result.status is SolveStatus.OPTIMAL, result.status
 
-# A placement form through the structured path (saturated -> LP relaxation,
-# which must use the native simplex when scipy is unavailable).
+# A placement form through the structured path (saturated -> the min-cost
+# flow relaxation, which never needs scipy).
 rng = np.random.default_rng(0)
 m, n = 9, 3
 form = build_placement_form(
@@ -66,13 +69,44 @@ print("OK")
 """
 
 
-def test_native_core_runs_without_scipy():
+_WATERWISE_SCRIPT = _BLOCK_SCIPY + r"""
+from repro.cluster.capacity import servers_for_target_utilization
+from repro.cluster.multi import MultiPolicyRunner
+from repro.schedulers import make_scheduler
+from repro.sustainability.datasets import ElectricityMapsLikeProvider
+from repro.traces.scenarios import scenario_source
+
+source = scenario_source("diurnal", seed=3, rate_per_hour=1400.0, duration_days=0.1)
+dataset = ElectricityMapsLikeProvider(horizon_hours=72, seed=3)
+scheduler = make_scheduler("waterwise")
+result = MultiPolicyRunner(
+    source, [("waterwise", scheduler)], dataset=dataset, delay_tolerance=0.25,
+    servers_per_region=servers_for_target_utilization(source, dataset.region_keys),
+).run()["waterwise"]
+stats = result.solver_stats
+assert stats["structured_lp"] > 0, stats
+assert stats["structured_bb"] == 0, stats
+assert scheduler.controller.rounds_fallback == 0
+assert "scipy" not in sys.modules or sys.modules["scipy"] is None
+print("OK")
+"""
+
+
+def _run_without_scipy(script: str) -> None:
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, f"stdout={proc.stdout}\nstderr={proc.stderr}"
     assert proc.stdout.strip().endswith("OK")
+
+
+def test_native_core_runs_without_scipy():
+    _run_without_scipy(_SCRIPT)
+
+
+def test_waterwise_capacity_bound_rounds_need_no_scipy():
+    _run_without_scipy(_WATERWISE_SCRIPT)
