@@ -22,7 +22,7 @@ Three transports sit behind one tiny RPC surface
 Fault model: every lease carries a deadline, workers heartbeat while a shard
 runs, and a worker lost mid-shard (crash, kill, partition) simply stops
 heartbeating — the lease expires, the shard returns to the queue, and the
-next worker resumes from the lineage's last format-4 checkpoint instead of
+next worker resumes from the lineage's last format-5 checkpoint instead of
 restarting.  Stragglers past a multiple of the median shard duration get a
 duplicate lease rather than being awaited; completions are idempotent and
 first-complete-wins.  The TCP client retries with exponential backoff and

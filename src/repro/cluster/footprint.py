@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.cluster.metrics import ExactSum
 from repro.sustainability.carbon import CarbonModel
-from repro.sustainability.datasets import SustainabilityDataset
+from repro.sustainability.datasets import RegionSustainabilitySeries, SustainabilityDataset
 from repro.sustainability.embodied import DEFAULT_SERVER, ServerSpec
 from repro.sustainability.water import WaterModel
 from repro.traces.job import Job
 
-__all__ = ["FootprintCalculator", "RunningFootprintTotals"]
+__all__ = ["FootprintCalculator", "HourlySignalTable", "RunningFootprintTotals"]
 
 _SECONDS_PER_HOUR = 3600.0
 
@@ -143,6 +143,78 @@ class _RegionPrefixIntegrals:
         return self._integral(2, t1) - self._integral(2, t0)
 
 
+class HourlySignalTable:
+    """Every region's decision-time signals for every hour, in one region order.
+
+    Row ``h`` of each (H × N) array holds what the per-region lookups of
+    :class:`~repro.sustainability.datasets.RegionSustainabilitySeries` return
+    at any time inside hour ``h`` — ``carbon_intensity_at``, ``ewif_at``,
+    ``wue_at`` and the Eq. 6 ``water_intensity_at`` — computed with the same
+    float operations, so a scheduling round reads one row instead of making
+    per-region calls.  ``carbon_norm``/``water_norm`` are those rows divided
+    by their maximum across regions (the history learner's observation).
+    A series shorter than the table repeats its final hour, the clamp its
+    own lookups apply past the horizon.
+
+    Built from the series objects themselves, which are immutable; see
+    :meth:`FootprintCalculator.signal_table` for the cache.
+    """
+
+    def __init__(self, series: Sequence[RegionSustainabilitySeries]) -> None:
+        self.series = tuple(series)
+        self.horizon_hours = max((s.horizon_hours for s in self.series), default=1)
+        shape = (self.horizon_hours, len(self.series))
+        self.carbon, self.ewif, self.wue = np.empty(shape), np.empty(shape), np.empty(shape)
+        for column, s in enumerate(self.series):
+            for table, values in (
+                (self.carbon, s.carbon_intensity), (self.ewif, s.ewif), (self.wue, s.wue)
+            ):
+                table[: len(values), column] = values
+                table[len(values):, column] = values[-1]
+        self.wsf = np.array([s.wsf for s in self.series], dtype=float)
+        self.pue = np.array([s.pue for s in self.series], dtype=float)
+        self.water = (self.wue + self.pue * self.ewif) * (1.0 + self.wsf)
+        # Hours where Eq. 6 would reject an input keep their per-region
+        # lookups, so the same ValueError surfaces (see water_row).
+        self._water_valid = ~(
+            (self.wue < 0).any(axis=1)
+            | (self.ewif < 0).any(axis=1)
+            | bool((self.wsf < 0).any() or (self.pue < 1.0).any())
+        )
+        self.carbon_norm = self.carbon / _row_peaks(self.carbon)
+        self.water_norm = self.water / _row_peaks(self.water)
+        #: Hours whose rows the history learner accepts as they are.
+        self.observable = self._water_valid & ~(
+            (self.carbon < 0).any(axis=1) | (self.water < 0).any(axis=1)
+        )
+        # Rounds get views of these rows; the cache must never see a write.
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    def hour(self, time_s: float) -> int:
+        """Row of simulation time ``time_s``, clamped like the series lookups."""
+        if time_s < 0:
+            raise ValueError(f"time_s must be >= 0, got {time_s}")
+        return min(int(time_s // _SECONDS_PER_HOUR), self.horizon_hours - 1)
+
+    def water_row(self, time_s: float) -> np.ndarray:
+        """Eq. 6 water intensity of every region at ``time_s``."""
+        hour = self.hour(time_s)
+        if not self._water_valid[hour]:
+            for s in self.series:
+                s.water_intensity_at(time_s)  # raises the lookup's ValueError
+        return self.water[hour]
+
+
+def _row_peaks(rows: np.ndarray) -> np.ndarray:
+    """Each row's maximum as a column, 1.0 where it is not positive."""
+    if rows.shape[1] == 0:
+        return np.ones((rows.shape[0], 1))
+    peaks = rows.max(axis=1, keepdims=True)
+    return np.where(peaks > 0, peaks, 1.0)
+
+
 class FootprintCalculator:
     """Carbon/water footprints of jobs across regions.
 
@@ -169,19 +241,36 @@ class FootprintCalculator:
         self.carbon_model = CarbonModel(server=server, include_embodied=include_embodied)
         self.water_model = WaterModel(server=server, include_embodied=include_embodied)
         self._prefix_cache: dict[str, _RegionPrefixIntegrals] = {}
+        #: Signal tables keyed by the identities of their series objects
+        #: (each table holds its series, so the identities stay valid).
+        self._signal_tables: dict[tuple[int, ...], HourlySignalTable] = {}
+
+    def signal_table(
+        self, region_keys: Sequence[str], dataset: SustainabilityDataset | None = None
+    ) -> HourlySignalTable:
+        """The (cached) signal table of ``dataset`` in ``region_keys`` order.
+
+        ``dataset`` defaults to the calculator's own; schedulers pass the
+        context's, which chaos forecast noise makes differ from it.  The
+        cache is keyed by the series objects, not the dataset: a
+        ``perturbed()``/``with_hourly_factors()`` clone copies the dataset's
+        ``__dict__`` but builds new series wherever its values differ, so it
+        gets its own rows, and shares rows only where it shares a series.
+        """
+        source = self.dataset if dataset is None else dataset
+        series = tuple(source.series_for(key) for key in region_keys)
+        key = tuple(map(id, series))
+        table = self._signal_tables.get(key)
+        if table is None:
+            table = self._signal_tables[key] = HourlySignalTable(series)
+        return table
 
     # -- decision-time estimates ---------------------------------------------------
     def _region_factors(self, region_keys: Sequence[str], time_s: float):
-        """Per-region (CI, EWIF, WUE, WSF, PUE) arrays at ``time_s``."""
-        ci, ewif, wue, wsf, pue = [], [], [], [], []
-        for key in region_keys:
-            series = self.dataset.series_for(key)
-            ci.append(series.carbon_intensity_at(time_s))
-            ewif.append(series.ewif_at(time_s))
-            wue.append(series.wue_at(time_s))
-            wsf.append(series.wsf)
-            pue.append(series.pue)
-        return (np.array(ci), np.array(ewif), np.array(wue), np.array(wsf), np.array(pue))
+        """Per-region (CI, EWIF, WUE, WSF, PUE) arrays at ``time_s`` (read-only views)."""
+        table = self.signal_table(region_keys)
+        hour = table.hour(time_s)
+        return table.carbon[hour], table.ewif[hour], table.wue[hour], table.wsf, table.pue
 
     def carbon_matrix_arrays(
         self,

@@ -121,7 +121,10 @@ def atomic_pickle_dump(path, payload) -> None:
 #: keeps counting, and the ``kernel`` config value may name any of the four
 #: tiers (``auto``/``vector``/``scalar``/``compiled``) — resume may switch
 #: kernels freely, digests are tier-invariant.
-CHECKPOINT_FORMAT = 4
+#: Format 5: the pickled WaterWise scheduler's
+#: :class:`~repro.core.history.HistoryLearner` keeps its window as arrays
+#: instead of a deque of per-round dicts.
+CHECKPOINT_FORMAT = 5
 
 #: Per-job *data* columns of the slot pool (written once at ingest).
 _DATA_COLUMNS = (
@@ -1037,7 +1040,8 @@ class StreamingSimulator(_SimulatorBase):
                 f"{path} is a format-{found} streaming checkpoint; this version "
                 f"reads format {CHECKPOINT_FORMAT} only.  Checkpoint layouts "
                 "changed incompatibly (format 2: array event queue, format 3: "
-                "chaos & elasticity state, format 4: kernel-tier telemetry), "
+                "chaos & elasticity state, format 4: kernel-tier telemetry, "
+                "format 5: array history window), "
                 "so older files cannot be resumed here — re-run the "
                 "simulation, or resume the checkpoint with the code version "
                 "that wrote it (see README 'Streaming engine' for the "

@@ -63,23 +63,30 @@ def _slack_selection(
     ascending ``TOL% · t_m − L_avg_m − waited_m`` (job id breaking ties),
     then greedily admitted through the shared
     :func:`repro.core.slack.admit_ranked` core while their server demand
-    fits.  ``average_from`` is evaluated once per distinct
-    ``(home, package)`` pair, so the scores are bit-identical to the scalar
-    manager's.
+    fits.  ``average_from`` is looked up once per distinct
+    ``(home, package)`` pair of the round and gathered back to the jobs, so
+    the scores are bit-identical to the scalar manager's.
     """
     jobs = context.jobs
     keys = context.region_keys
-    home = jobs.home_idx[batch].tolist()
-    package = jobs.package_gb[batch].tolist()
     job_ids = jobs.job_id[batch]
     allowance = context.delay_tolerance * jobs.exec_est[batch]
     latency = context.latency
 
-    average = np.fromiter(
-        (cached_average_from(latency, keys[h], p) for h, p in zip(home, package)),
-        dtype=float,
-        count=len(batch),
+    packages, package_code = np.unique(jobs.package_gb[batch], return_inverse=True)
+    n_packages = len(packages)
+    pairs, pair_of_job = np.unique(
+        jobs.home_idx[batch] * n_packages + package_code, return_inverse=True
     )
+    packages = packages.tolist()
+    pair_average = np.array(
+        [
+            cached_average_from(latency, keys[pair // n_packages], packages[pair % n_packages])
+            for pair in pairs.tolist()
+        ],
+        dtype=float,
+    )
+    average = pair_average[pair_of_job]
     scores = allowance - average - context.wait_times
 
     ranked = np.lexsort((job_ids, scores)).tolist()
@@ -95,7 +102,7 @@ def waterwise_fast_path(
     config = scheduler.config
     keys = context.region_keys
     if config.use_history:
-        record_round_intensities(scheduler.history, keys, context.dataset, context.now)
+        record_round_intensities(scheduler.history, context)
 
     batch = context.batch
     m = len(batch)

@@ -19,6 +19,7 @@ end-to-end tolerance.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.cluster.interface import SchedulingContext
 from repro.core.config import WaterWiseConfig
 from repro.milp import Problem, VarType, Variable, lin_sum
 from repro.milp.problem import StandardForm
+from repro.milp.sparse import CsrMatrix, SparseConstraints
 from repro.milp.structure import PlacementStructure, attach_structure
 from repro.traces.job import Job
 
@@ -142,6 +144,11 @@ def build_placement_form(
     ``Variable``/``Constraint`` objects.  Feeding both through
     :func:`repro.milp.solver.solve_standard_form` therefore yields the same
     solver behaviour; the differential harness locks this down.
+
+    The work is O(M·N): the constraint blocks, which would be dense
+    ``(M+N) × M·N`` arrays, are left to :meth:`StandardForm.from_blocks` and
+    built as CSR only if a backend other than the structured path reads them
+    (see :func:`_placement_blocks`).
     """
     m_jobs, n_regions = cost.shape
     n_x = m_jobs * n_regions
@@ -152,27 +159,6 @@ def build_placement_form(
     if soft:
         c[n_x:] = config.penalty_weight
 
-    # Eq. 9: each job is placed in exactly one region.
-    a_eq = np.zeros((m_jobs, n_vars))
-    rows = np.repeat(np.arange(m_jobs), n_regions)
-    cols = np.arange(n_x)
-    a_eq[rows, cols] = 1.0
-    b_eq = np.ones(m_jobs)
-
-    # Eq. 10 (capacity) then Eq. 11/13 (delay) rows, matching the object
-    # model's constraint insertion order.
-    a_ub = np.zeros((n_regions + m_jobs, n_vars))
-    servers = np.asarray(servers_required, dtype=float)
-    capacity_rows = np.tile(np.arange(n_regions), m_jobs)
-    a_ub[capacity_rows, cols] = np.repeat(servers, n_regions)
-    delay_rows = n_regions + rows
-    a_ub[delay_rows, cols] = latency_ratio.ravel()
-    if soft:
-        a_ub[delay_rows, n_x + cols] = -1.0
-    b_ub = np.concatenate(
-        [np.asarray(capacity, dtype=float), np.asarray(tolerance, dtype=float)]
-    )
-
     lower = np.zeros(n_vars)
     upper = np.ones(n_vars)
     integrality = np.zeros(n_vars, dtype=bool)
@@ -180,35 +166,61 @@ def build_placement_form(
     if soft:
         upper[n_x:] = np.inf
 
-    form = StandardForm(
-        variables=(),
+    struct = PlacementStructure(
+        m_jobs=m_jobs,
+        n_regions=n_regions,
+        soft=soft,
+        penalty_weight=float(config.penalty_weight) if soft else 0.0,
+        cost=np.asarray(cost, dtype=float),
+        latency_ratio=np.asarray(latency_ratio, dtype=float),
+        tolerance=np.asarray(tolerance, dtype=float),
+        servers=np.asarray(servers_required, dtype=float),
+        capacity=np.asarray(capacity, dtype=float),
+    )
+    form = StandardForm.from_blocks(
+        functools.partial(_placement_blocks, struct),
         c=c,
-        c0=0.0,
-        a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=b_eq,
+        # Eq. 10 (capacity) then Eq. 11/13 (delay) rows; Eq. 9 assignment rows.
+        b_ub=np.concatenate([struct.capacity, struct.tolerance]),
+        b_eq=np.ones(m_jobs),
         lower=lower,
         upper=upper,
         integrality=integrality,
-        maximize=False,
     )
     # This function *is* the placement layout the structure-aware solver path
     # recognizes; attaching the matrices directly spares the per-round scan.
-    return attach_structure(
-        form,
-        PlacementStructure(
-            m_jobs=m_jobs,
-            n_regions=n_regions,
-            soft=soft,
-            penalty_weight=float(config.penalty_weight) if soft else 0.0,
-            cost=np.asarray(cost, dtype=float),
-            latency_ratio=np.asarray(latency_ratio, dtype=float),
-            tolerance=np.asarray(tolerance, dtype=float),
-            servers=servers,
-            capacity=np.asarray(capacity, dtype=float),
-        ),
+    return attach_structure(form, struct)
+
+
+def _placement_blocks(struct: PlacementStructure) -> SparseConstraints:
+    """CSR constraint blocks of a placement form, in the object model's row order.
+
+    Eq. 9 assignment rows (``a_eq``), then Eq. 10 capacity rows and Eq. 11/13
+    delay rows (``a_ub``).  Entries are kept in row-major order and zero
+    coefficients (a job's home-region latency) are dropped, so the result is
+    what ``SparseConstraints.from_arrays`` makes of the dense blocks.
+    """
+    m_jobs, n_regions = struct.m_jobs, struct.n_regions
+    n_x = m_jobs * n_regions
+    n_vars = 2 * n_x if struct.soft else n_x
+    cols = np.arange(n_x)
+    jobs_of = np.repeat(np.arange(m_jobs), n_regions)
+
+    a_eq = CsrMatrix.from_coo((m_jobs, n_vars), jobs_of, cols, np.ones(n_x))
+
+    rows = [np.tile(np.arange(n_regions), m_jobs), n_regions + jobs_of]
+    ub_cols = [cols, cols]
+    data = [np.repeat(struct.servers, n_regions), struct.latency_ratio.ravel()]
+    if struct.soft:
+        rows.append(n_regions + jobs_of)
+        ub_cols.append(n_x + cols)
+        data.append(np.full(n_x, -1.0))
+    rows, ub_cols, data = (np.concatenate(part) for part in (rows, ub_cols, data))
+    nonzero = data != 0.0
+    a_ub = CsrMatrix.from_coo(
+        (n_regions + m_jobs, n_vars), rows[nonzero], ub_cols[nonzero], data[nonzero]
     )
+    return SparseConstraints(a_ub=a_ub, a_eq=a_eq)
 
 
 def build_placement_problem(

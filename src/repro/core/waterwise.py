@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.cluster.interface import Scheduler, SchedulerDecision, SchedulingContext
 from repro.core.config import WaterWiseConfig
 from repro.core.decision import DecisionController
@@ -31,20 +29,26 @@ from repro.traces.job import Job
 __all__ = ["WaterWiseScheduler", "record_round_intensities"]
 
 
-def record_round_intensities(history, region_keys, dataset, now_s: float) -> None:
-    """Record one round's per-region carbon/water intensities with ``history``.
+def record_round_intensities(history, context) -> None:
+    """Record the round's per-region carbon/water intensities with ``history``.
 
     Shared by the scalar :meth:`WaterWiseScheduler.schedule` and the
-    vectorized fast path (:mod:`repro.core.fastpath`) so both feed the
-    history learner identical observations.
+    vectorized fast path (:mod:`repro.core.fastpath`), whose contexts both
+    carry ``region_keys``, ``dataset``, ``footprints`` and ``now``, so both
+    feed the history learner identical observations: the current hour's row
+    of the dataset's signal table
+    (:meth:`~repro.cluster.footprint.FootprintCalculator.signal_table`),
+    already normalized.
     """
-    carbon = np.array(
-        [dataset.series_for(key).carbon_intensity_at(now_s) for key in region_keys]
-    )
-    water = np.array(
-        [dataset.series_for(key).water_intensity_at(now_s) for key in region_keys]
-    )
-    history.observe(region_keys, carbon, water)
+    table = context.footprints.signal_table(context.region_keys, context.dataset)
+    hour = table.hour(context.now)
+    if table.observable[hour]:
+        history.observe_normalized(
+            context.region_keys, table.carbon_norm[hour], table.water_norm[hour]
+        )
+    else:
+        # An invalid signal: raise the ValueError the per-region path raises.
+        history.observe(context.region_keys, table.carbon[hour], table.water_row(context.now))
 
 
 class WaterWiseScheduler(Scheduler):
@@ -131,9 +135,7 @@ class WaterWiseScheduler(Scheduler):
     def _record_history(self, context: SchedulingContext) -> None:
         if not self.config.use_history:
             return
-        record_round_intensities(
-            self.history, context.region_keys, context.dataset, context.now
-        )
+        record_round_intensities(self.history, context)
 
 
 # Registering the vectorized fast path lives in a separate module so the

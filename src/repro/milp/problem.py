@@ -1,7 +1,7 @@
 """Problem container for the MILP modeling layer.
 
 A :class:`Problem` collects variables, an objective and constraints, and
-converts them to the dense array form consumed by the solvers
+converts them to the array form consumed by the solvers
 (``min c @ x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  low <= x <= up``).
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -28,11 +28,17 @@ class ObjectiveSense(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class StandardForm:
-    """Dense array representation of a problem.
+    """Array representation of a problem.
 
     ``c`` / ``c0`` encode the (minimization) objective ``c @ x + c0``;
     maximization problems are negated during conversion so solvers only ever
     minimize.  ``integrality`` is a boolean mask over the variable order.
+
+    The constraint blocks ``a_ub``/``a_eq`` are dense arrays, except in forms
+    made by :meth:`from_blocks`: those start with only a recipe for their CSR
+    blocks (:meth:`sparse`), and each dense block is built from the CSR the
+    first time something reads it.  A consumer that never reads the blocks —
+    the structured solver path — never pays for them.
     """
 
     variables: tuple[Variable, ...]
@@ -46,6 +52,46 @@ class StandardForm:
     upper: np.ndarray
     integrality: np.ndarray
     maximize: bool
+
+    @classmethod
+    def from_blocks(
+        cls,
+        blocks: "Callable[[], SparseConstraints]",
+        *,
+        c: np.ndarray,
+        b_ub: np.ndarray,
+        b_eq: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        integrality: np.ndarray,
+    ) -> "StandardForm":
+        """A minimization form with no objective constant whose constraint
+        blocks are built on first use.
+
+        ``blocks()`` must return the CSR blocks exactly as
+        :meth:`sparse` would convert them from the dense arrays (entries in
+        row-major order, explicit zeros dropped); it runs at most once, when
+        :meth:`sparse` or a dense block is first needed.  The dense blocks
+        are that CSR expanded, so every consumer sees the same arrays as for
+        a form built dense.
+        """
+        form = cls.__new__(cls)
+        fields = dict(
+            variables=(), c=c, c0=0.0, b_ub=b_ub, b_eq=b_eq, lower=lower, upper=upper,
+            integrality=integrality, maximize=False, _blocks=blocks,
+        )
+        for name, value in fields.items():
+            object.__setattr__(form, name, value)
+        return form
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: the dense
+        # blocks of a from_blocks form that nothing has read yet.
+        if name in ("a_ub", "a_eq") and "_blocks" in self.__dict__:
+            dense = getattr(self.sparse(), name).toarray()
+            object.__setattr__(self, name, dense)
+            return dense
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def num_variables(self) -> int:
@@ -63,15 +109,19 @@ class StandardForm:
         """
         cached = self.__dict__.get("_sparse")
         if cached is None:
-            from repro.milp.sparse import SparseConstraints
+            blocks = self.__dict__.get("_blocks")
+            if blocks is not None:
+                cached = blocks()
+            else:
+                from repro.milp.sparse import SparseConstraints
 
-            cached = SparseConstraints.from_arrays(self.a_ub, self.a_eq)
+                cached = SparseConstraints.from_arrays(self.a_ub, self.a_eq)
             object.__setattr__(self, "_sparse", cached)
         return cached
 
     @property
     def num_constraints(self) -> int:
-        return self.a_ub.shape[0] + self.a_eq.shape[0]
+        return len(self.b_ub) + len(self.b_eq)
 
     def objective_value(self, x: np.ndarray) -> float:
         """Objective in the problem's *original* sense for solution vector ``x``."""

@@ -1,18 +1,21 @@
 """Sparse (CSR) constraint data carried alongside :class:`StandardForm`.
 
-The modeling layer keeps emitting dense arrays — they are convenient to build
-and the placement matrices are tiny per round — but the solver core works on
-compressed rows: the revised simplex prices columns through one sparse
-``A.T @ y`` product per iteration and gathers basis columns without scanning
-zeros.  :class:`CsrMatrix` is a deliberately small, **NumPy-only** CSR
+The object modeling layer (``Problem.to_standard_form``) emits dense arrays;
+the WaterWise placement form is built straight into CSR, and only on demand
+(:meth:`StandardForm.from_blocks`), because its dense blocks grow as
+``(M+N) × M·N`` while the structured solver never reads them.  The solver
+core works on compressed rows: the revised simplex prices columns through one
+sparse ``A.T @ y`` product per iteration and gathers basis columns without
+scanning zeros.  :class:`CsrMatrix` is a deliberately small, **NumPy-only** CSR
 container (three arrays plus a shape), so the native solver stack keeps the
 seed's property of running without SciPy installed; the SciPy backend
 converts it with :func:`scipy.sparse.csr_matrix((data, indices, indptr))`
 when it needs to.
 
-:meth:`StandardForm.sparse` caches the conversion on the (frozen) form, which
-lets every consumer — presolve, the revised simplex, branch & bound node
-re-solves — share one conversion per form.
+:meth:`StandardForm.sparse` caches the conversion (or the CSR a
+``from_blocks`` form was built with) on the (frozen) form, which lets every
+consumer — presolve, the revised simplex, branch & bound node re-solves —
+share one conversion per form.
 """
 
 from __future__ import annotations

@@ -229,19 +229,22 @@ def _ecovisor_fast_path(
     """Home placement with temporal shifting, one signal evaluation per region.
 
     The scalar policy re-derives the home region's carbon signal per job;
-    here the current intensity and the trailing average are computed once per
-    region (via the same :func:`~repro.schedulers.ecovisor.trailing_carbon_average`
-    the scalar path uses) and the defer/release decision is a single
-    vectorized comparison over the batch.
+    here the current intensities are one row of the dataset's signal table
+    (:meth:`~repro.cluster.footprint.FootprintCalculator.signal_table`), the
+    trailing averages are computed once per region (via the same
+    :func:`~repro.schedulers.ecovisor.trailing_carbon_average` the scalar
+    path uses) and the defer/release decision is a single vectorized
+    comparison over the batch.
     """
     keys = context.region_keys
     now = context.now
-    high = np.empty(len(keys), dtype=bool)
-    for idx, key in enumerate(keys):
-        series = context.dataset.series_for(key)
-        current_ci = series.carbon_intensity_at(now)
-        trailing = trailing_carbon_average(series, now, scheduler.trailing_window_h)
-        high[idx] = current_ci > scheduler.high_carbon_threshold * trailing
+    table = context.footprints.signal_table(keys, context.dataset)
+    current_ci = table.carbon[table.hour(now)]
+    trailing = np.array([
+        trailing_carbon_average(series, now, scheduler.trailing_window_h)
+        for series in table.series
+    ])
+    high = current_ci > scheduler.high_carbon_threshold * trailing
     batch = context.batch
     home = context.jobs.home_idx[batch]
     allowance = context.delay_tolerance * context.jobs.exec_est[batch]
