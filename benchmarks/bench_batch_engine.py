@@ -1,17 +1,20 @@
-"""Microbenchmark: scalar ``Simulator`` vs. vectorized ``BatchSimulator``.
+"""Microbenchmark: the object-world oracle ``Simulator`` vs. the engine.
 
 Replays an Alibaba-style trace (bursty, 8.5x the Borg rate — the repo's
-largest standard workload) through both engines under identical settings,
-verifies that they produce identical scheduling decisions and footprints
-(within 1e-9 relative), and reports throughput and speedup per policy.
+largest standard workload) through the scalar reference simulator of
+``tests/oracles/simulator.py`` and through the engine
+(``StreamingSimulator`` with ``collect="full"``, the ``--engine batch`` run)
+under identical settings, verifies that they produce identical scheduling
+decisions and footprints (within 1e-9 relative), and reports throughput and
+speedup per policy.
 
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_batch_engine.py              # 10k jobs
     PYTHONPATH=src python benchmarks/bench_batch_engine.py --jobs 2000  # CI smoke
 
-Exits non-zero if the engines disagree or (unless ``--no-target``) the
-vectorized engine is less than 5x faster for fast-path policies.
+Exits non-zero if the two disagree or (unless ``--no-target``) the engine
+is less than 5x faster than the oracle for fast-path policies.
 """
 
 from __future__ import annotations
@@ -19,24 +22,30 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.cluster import BatchSimulator, Simulator
+from repro.cluster import StreamingSimulator
 from repro.schedulers import make_scheduler
 from repro.schedulers.vectorized import has_fast_path
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.alibaba import AlibabaTraceGenerator
+from repro.traces.stream import TraceView
+
+# The oracle lives in the test tree, next to the cells that use it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.simulator import Simulator  # noqa: E402
 
 EQUIVALENCE_RTOL = 1e-9
 SPEEDUP_TARGET = 5.0
-#: Per-policy overrides of the scalar-vs-batch speedup floor.  WaterWise's
-#: floor is lower *because the scalar engine got faster, not because the
-#: batch engine regressed*: the scalar path now runs the same array decision
-#: pipeline (vectorized slack + standard-form MILP) as the fast path, so the
-#: decision time — the bulk of a WaterWise round — is identical on both
-#: sides and only the engine loop differs.  Absolute batch time improved at
-#: the same commit this floor was lowered (see BENCH_sweep_baseline.json).
+#: Per-policy overrides of the oracle-vs-engine speedup floor.  WaterWise's
+#: floor is lower *because the oracle got faster, not because the engine
+#: regressed*: the oracle runs the same array decision pipeline (vectorized
+#: slack + standard-form MILP) as the fast path, so the decision time — the
+#: bulk of a WaterWise round — is identical on both sides and only the
+#: engine loop differs.  Absolute engine time improved at the same commit
+#: this floor was lowered (see BENCH_sweep_baseline.json).
 #: Floors are calibrated at the CI scale (4000 jobs; measured 4.0x there) —
 #: much smaller runs squeeze every ratio under per-round fixed costs.
 SPEEDUP_TARGETS: dict[str, float] = {"waterwise": 2.0}
@@ -55,7 +64,7 @@ def build_workload(jobs: int, seed: int):
 
 
 def verify_equivalence(scalar_result, batch_result) -> list[str]:
-    """Differences between the two engines' results (empty = equivalent)."""
+    """Differences between the oracle's and the engine's results (empty = equivalent)."""
     problems: list[str] = []
     outcomes = scalar_result.outcomes
     if len(outcomes) != batch_result.num_jobs:
@@ -83,8 +92,12 @@ def verify_equivalence(scalar_result, batch_result) -> list[str]:
     return problems
 
 
+def _engine(trace, scheduler, **kwargs):
+    return StreamingSimulator(TraceView(trace), scheduler, collect="full", **kwargs)
+
+
 def bench_policy(name: str, trace, dataset, servers: int, repeats: int):
-    """Time both engines for one policy; returns the report row."""
+    """Time the oracle and the engine for one policy; returns the report row."""
 
     def timed(engine_cls):
         best = np.inf
@@ -102,7 +115,7 @@ def bench_policy(name: str, trace, dataset, servers: int, repeats: int):
         return result, best
 
     scalar_result, scalar_time = timed(Simulator)
-    batch_result, batch_time = timed(BatchSimulator)
+    batch_result, batch_time = timed(_engine)
     problems = verify_equivalence(scalar_result, batch_result)
     return {
         "policy": name,

@@ -11,7 +11,7 @@ Each case runs in a fresh **subprocess** so one case's allocator state never
 shades another's numbers.  Two hard gates back the acceptance criteria
 regardless of baseline:
 
-* the replayed digest must equal the one-shot batch engine's on the same
+* the replayed digest must equal a one-shot engine run's on the same
   trace (decision identity is re-proved inside the measured run);
 * every submitted job must receive exactly one decision.
 
@@ -98,9 +98,10 @@ def _build(params, collect: str):
 
 def _child_replay(args: argparse.Namespace) -> int:
     """Measured case: full-trace replay through the gateway (pace=0)."""
-    from repro.cluster import BatchSimulator
+    from repro.cluster import StreamingSimulator
     from repro.schedulers import make_scheduler
     from repro.service import run_replay
+    from repro.traces.stream import TraceView
 
     params = _case_parameters(args.child_jobs)
     source, dataset, engine = _build(params, collect="full")
@@ -111,12 +112,13 @@ def _child_replay(args: argparse.Namespace) -> int:
     wall_s = time.perf_counter() - started
     stats = report.stats
 
-    # Hard gate: the replayed live path must equal the batch engine.
-    oneshot = BatchSimulator(
-        source.materialize(),
+    # Hard gate: the replayed live path must equal a one-shot run.
+    oneshot = StreamingSimulator(
+        TraceView(source.materialize()),
         make_scheduler("baseline"),
         dataset=dataset,
         servers_per_region=params["servers_per_region"],
+        collect="full",
     ).run()
     digest_equal = report.result.digest() == oneshot.digest()
 
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
         f"p99 {replay['p99_latency_ms']:.1f} ms"
     )
     if not replay["digest_equal"]:
-        failures.append("replayed digest diverges from the one-shot batch engine")
+        failures.append("replayed digest diverges from the one-shot engine run")
     if replay["decided"] != replay["jobs"] or replay["outstanding"]:
         failures.append(
             f"decision accounting broken: {replay['decided']} decided of "

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.cluster import BatchSimulator
+from repro.cluster import StreamingSimulator
 from repro.core.config import WaterWiseConfig
 from repro.core.objective import build_placement_form
 from repro.milp.session import SolverSession
@@ -42,6 +42,7 @@ from repro.milp.solver import solve_standard_form
 from repro.schedulers import make_scheduler
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.alibaba import AlibabaTraceGenerator
+from repro.traces.stream import TraceView
 
 #: Soft regression threshold: warn when a headline metric is this much worse
 #: than the checked-in baseline.
@@ -59,8 +60,9 @@ def run_waterwise(jobs: int, seed: int, servers: int) -> dict:
         rate_per_hour=jobs / 24.0, duration_days=1.0, seed=seed
     ).generate()
     dataset = ElectricityMapsLikeProvider(horizon_hours=72, seed=seed)
-    simulator = BatchSimulator(
-        trace, make_scheduler("waterwise"), dataset=dataset, servers_per_region=servers
+    simulator = StreamingSimulator(
+        TraceView(trace), make_scheduler("waterwise"), dataset=dataset,
+        servers_per_region=servers, collect="full",
     )
     started = time.perf_counter()
     result = simulator.run()

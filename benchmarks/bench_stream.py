@@ -1,9 +1,9 @@
 """Streaming-engine benchmark: peak RSS + wall time vs the one-shot engine.
 
 Each case simulates a diurnal scenario sized to ``--sizes`` jobs (default
-10k / 100k / 1M) twice: through the one-shot :class:`BatchSimulator`
-(materialized trace, O(n) columns) and through the bounded-memory
-:class:`StreamingSimulator` in aggregate mode.  Every measurement runs in a
+10k / 100k / 1M) twice through :class:`StreamingSimulator`: one-shot
+(materialized trace in a single chunk, ``collect="full"``, O(n) columns)
+and bounded-memory (chunked source, ``collect="aggregate"``).  Every measurement runs in a
 fresh **subprocess** so ``ru_maxrss`` reports that case's true peak RSS, not
 the parent's high-water mark.  One-shot cases above ``--max-oneshot-jobs``
 are skipped (that is the regime the streaming engine exists for).
@@ -116,10 +116,11 @@ def _run_child(
 
 
 def _child_main(args: argparse.Namespace) -> int:
-    from repro.cluster import BatchSimulator, StreamingSimulator
+    from repro.cluster import StreamingSimulator
     from repro.schedulers import make_scheduler
     from repro.sustainability import ElectricityMapsLikeProvider
     from repro.traces.scenarios import scenario_source
+    from repro.traces.stream import TraceView
 
     params = _case_parameters(args.child_jobs)
     source = scenario_source(
@@ -152,11 +153,13 @@ def _child_main(args: argparse.Namespace) -> int:
         ).run()
     else:
         trace = source.materialize()
-        result = BatchSimulator(
-            trace,
+        result = StreamingSimulator(
+            TraceView(trace),
             scheduler,
             dataset=dataset,
             servers_per_region=params["servers_per_region"],
+            chunk_size=max(len(trace), 1),
+            collect="full",
             kernel=args.kernel,
             **chaos_kwargs,
         ).run()

@@ -9,8 +9,9 @@ registry over the *same* workload — so the figure of merit here is
   (trace generated/columnized once, vectorized event kernel, array decision
   pipeline).
 * ``percell`` — the seed fabric, reconstructed from the retained reference
-  paths: one :class:`BatchSimulator` per (workload × policy) cell with
-  ``kernel="scalar"`` (the classic event-at-a-time loop) and the WaterWise
+  paths: one single-chunk ``collect="full"`` :class:`StreamingSimulator` run
+  per (workload × policy) cell with ``kernel="scalar"`` (the classic
+  event-at-a-time loop) and the WaterWise
   family on ``decision_pipeline="object"`` (per-job slack scoring +
   ``Variable``/``Constraint`` MILP construction), with the cost-aware
   variant running the scalar fallback exactly as it did before it had a
@@ -146,8 +147,9 @@ def _child_main(args: argparse.Namespace) -> int:
     else:  # percell (seed fabric: scalar kernel + object decision pipeline)
         import math
 
-        from repro.cluster import BatchSimulator
+        from repro.cluster import StreamingSimulator
         from repro.sustainability import ElectricityMapsLikeProvider
+        from repro.traces.stream import TraceView
 
         started = time.perf_counter()
         trace = source.materialize()
@@ -160,12 +162,14 @@ def _child_main(args: argparse.Namespace) -> int:
         totals = {}
         jobs = 0
         for name in policies:
-            result = BatchSimulator(
-                trace,
+            result = StreamingSimulator(
+                TraceView(trace),
                 _reference_factory(name),
                 dataset=dataset,
                 servers_per_region=params["servers_per_region"],
                 kernel="scalar",
+                chunk_size=max(len(trace), 1),
+                collect="full",
             ).run()
             totals[name] = result.total_carbon_g
             jobs = result.num_jobs

@@ -1,4 +1,4 @@
-"""Parallel parameter-grid sweeps over the batch simulation engine.
+"""Parallel parameter-grid sweeps over the simulation engine.
 
 The evaluation studies (delay-tolerance sweeps, utilization sweeps, weight
 sensitivity, trace robustness, …) are embarrassingly parallel: every grid
@@ -19,9 +19,8 @@ Determinism guarantees (enforced by ``tests/analysis/test_parallel.py``):
 
 Worker processes rebuild traces and datasets from the point's parameters
 (cheap relative to simulation), so only small parameter/summary payloads
-cross process boundaries; policy cells of one workload reuse a per-worker
-LRU-cached source/trace instead of regenerating it, and ``engine="stream"``
-cells replay the chunked source through the streaming engine without ever
+cross process boundaries; every cell replays its workload's chunked source
+through :class:`~repro.cluster.streaming.StreamingSimulator` without ever
 materializing the trace.
 
 ``run_sweep(..., fused=True)`` collapses the cells that share a workload
@@ -56,7 +55,7 @@ from repro.traces.scenarios import available_scenarios
 __all__ = ["SweepPoint", "SweepOutcome", "derive_seed", "expand_grid", "run_sweep"]
 
 _TRACE_KINDS = ("borg", "alibaba")
-_ENGINES = ("batch", "scalar", "stream")
+_ENGINES = ("batch", "stream")
 _EXECUTORS = ("serial", "thread", "process")
 
 
@@ -116,10 +115,9 @@ class SweepPoint:
 class SweepOutcome:
     """Small, picklable result of one sweep point.
 
-    ``digest`` is the engine result's CRC32 aggregate fingerprint when the
-    result type provides one (``BatchResult.digest`` for the batch engine,
-    ``StreamResult.digest`` for streaming/fused/distributed cells; the
-    scalar reference engine has none).  Distributed sweeps are gated on
+    ``digest`` is the engine result's CRC32 fingerprint
+    (``BatchResult.digest`` for ``batch`` cells, ``StreamResult.digest`` for
+    streaming/fused/distributed cells).  Distributed sweeps are gated on
     digest equality against the single-box fused run — compare like engines
     only, the two digests cover different payloads.
     """
@@ -131,7 +129,7 @@ class SweepOutcome:
     mean_service_ratio: float
     violation_fraction: float
     num_jobs: int
-    digest: int | None = None
+    digest: int
 
 
 #: Parameters that shape the generated workload (trace + dataset).  Seeds are
@@ -209,35 +207,16 @@ def expand_grid(
     return points
 
 
-#: Workload signature → source/trace LRU of the workloads this worker has
-#: simulated recently.  A sweep runs every policy against identical
-#: workloads (the seed derivation guarantees it), so policy cells of one
-#: workload hit this cache instead of re-generating the full trace per cell
-#: — sweep memory and generation time no longer scale with
-#: ``n_policies × n_jobs``.  The cache is *thread-local*:
-#: ``executor="thread"`` runs cells of different workloads concurrently, and
-#: a shared structure would let one thread read another's source mid-update
-#: (breaking the module's worker-count invariance).  Bounded to
-#: :data:`_WORKLOAD_CACHE_SIZE` workloads per thread/process — a long sweep
-#: over many workloads (or grid orders that interleave them) evicts the
-#: least recently used entry instead of growing without limit.
-_WORKLOAD_CACHE = threading.local()
-_WORKLOAD_CACHE_SIZE = 4
-
-
-def _workload_entries() -> "collections.OrderedDict":
-    entries = getattr(_WORKLOAD_CACHE, "entries", None)
-    if entries is None:
-        entries = collections.OrderedDict()
-        _WORKLOAD_CACHE.entries = entries
-    return entries
-
-
 def _workload_key(point: SweepPoint) -> tuple:
     return (point.trace_kind, point.rate_per_hour, point.duration_days, point.seed)
 
 
-def _build_source(point: SweepPoint):
+def _point_source(point: SweepPoint):
+    """The chunked trace source of one sweep point.
+
+    Built per cell: a source regenerates its jobs on every replay, so
+    holding one across the policy cells of a workload saves nothing.
+    """
     from repro.traces.alibaba import AlibabaTraceGenerator
     from repro.traces.borg import BorgTraceGenerator
     from repro.traces.scenarios import scenario_source
@@ -257,33 +236,6 @@ def _build_source(point: SweepPoint):
         rate_per_hour=point.rate_per_hour,
         duration_days=point.duration_days,
     )
-
-
-def _workload_entry(point: SweepPoint) -> dict:
-    entries = _workload_entries()
-    key = _workload_key(point)
-    entry = entries.get(key)
-    if entry is None:
-        entry = {"source": _build_source(point), "trace": None}
-        entries[key] = entry
-        while len(entries) > _WORKLOAD_CACHE_SIZE:
-            entries.popitem(last=False)
-    else:
-        entries.move_to_end(key)
-    return entry
-
-
-def _point_source(point: SweepPoint):
-    """The chunked trace source of one sweep point (LRU-cached per worker)."""
-    return _workload_entry(point)["source"]
-
-
-def _point_trace(point: SweepPoint):
-    """The materialized trace of one sweep point (LRU-cached per worker)."""
-    entry = _workload_entry(point)
-    if entry["trace"] is None:
-        entry["trace"] = entry["source"].materialize()
-    return entry["trace"]
 
 
 # -- shared-memory chunk transport (process-executor fused sweeps) ------------------
@@ -423,48 +375,32 @@ def _point_chaos(point: SweepPoint) -> str | None:
 
 
 def _run_point(point: SweepPoint) -> SweepOutcome:
-    """Simulate one sweep point (module-level so process pools can pickle it)."""
-    from repro.cluster.simulator import BatchSimulator, Simulator
+    """Simulate one sweep point (module-level so process pools can pickle it).
+
+    The policy cell replays the shared chunked source without ever
+    materializing the trace; ``batch`` cells keep per-job columns, ``stream``
+    cells bounded-memory aggregates.
+    """
     from repro.cluster.streaming import StreamingSimulator
     from repro.schedulers.registry import make_scheduler
 
     source = _point_source(point)
-    dataset = _point_dataset(point, source)
-    scheduler = make_scheduler(point.scheduler, **dict(point.scheduler_kwargs))
-    chaos = _point_chaos(point)
-    if point.engine == "stream":
-        # Bounded memory: the policy cell replays the shared chunked source
-        # without ever materializing the trace.
-        result = StreamingSimulator(
-            source,
-            scheduler,
-            dataset=dataset,
-            servers_per_region=point.servers_per_region,
-            scheduling_interval_s=point.scheduling_interval_s,
-            delay_tolerance=point.delay_tolerance,
-            include_embodied=point.include_embodied,
-            collect="aggregate",
-            chaos=chaos,
-            chaos_seed=point.seed,
-        ).run()
-    else:
-        engine_cls = BatchSimulator if point.engine == "batch" else Simulator
-        result = engine_cls(
-            trace=_point_trace(point),
-            scheduler=scheduler,
-            dataset=dataset,
-            servers_per_region=point.servers_per_region,
-            scheduling_interval_s=point.scheduling_interval_s,
-            delay_tolerance=point.delay_tolerance,
-            include_embodied=point.include_embodied,
-            chaos=chaos,
-            chaos_seed=point.seed,
-        ).run()
+    result = StreamingSimulator(
+        source,
+        make_scheduler(point.scheduler, **dict(point.scheduler_kwargs)),
+        dataset=_point_dataset(point, source),
+        servers_per_region=point.servers_per_region,
+        scheduling_interval_s=point.scheduling_interval_s,
+        delay_tolerance=point.delay_tolerance,
+        include_embodied=point.include_embodied,
+        collect="full" if point.engine == "batch" else "aggregate",
+        chaos=_point_chaos(point),
+        chaos_seed=point.seed,
+    ).run()
     return _outcome_from_result(point, result)
 
 
 def _outcome_from_result(point: SweepPoint, result) -> SweepOutcome:
-    digest = result.digest() if hasattr(result, "digest") else None
     return SweepOutcome(
         point=point,
         summary=result.summary(),
@@ -473,7 +409,7 @@ def _outcome_from_result(point: SweepPoint, result) -> SweepOutcome:
         mean_service_ratio=result.mean_service_ratio,
         violation_fraction=result.violation_fraction,
         num_jobs=result.num_jobs,
-        digest=digest,
+        digest=result.digest(),
     )
 
 

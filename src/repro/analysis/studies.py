@@ -24,12 +24,14 @@ from repro.analysis.sweep import (
     waterwise_factory,
 )
 from repro.cluster.footprint import FootprintCalculator
+from repro.cluster.streaming import StreamingSimulator
 from repro.core.config import WaterWiseConfig
 from repro.core.waterwise import WaterWiseScheduler
 from repro.regions.catalog import DEFAULT_REGION_KEYS, region_subset
 from repro.regions.latency import TransferLatencyModel
 from repro.schedulers import BaselineScheduler
 from repro.sustainability.embodied import DEFAULT_SERVER, ServerSpec
+from repro.traces.stream import TraceView
 from repro.traces.workloads import get_workload
 
 __all__ = [
@@ -335,16 +337,15 @@ def sensitivity_embodied_and_water_variation(
         servers = scale.servers_for(trace, dataset.region_keys)
 
         def run(scheduler):
-            from repro.cluster.simulator import Simulator
-
-            return Simulator(
-                trace,
+            return StreamingSimulator(
+                TraceView(trace),
                 scheduler,
                 dataset=dataset,
                 servers_per_region=servers,
                 scheduling_interval_s=scale.scheduling_interval_s,
                 delay_tolerance=delay_tolerance,
                 server=server,
+                collect="full",
             ).run()
 
         baseline = run(BaselineScheduler())

@@ -15,7 +15,6 @@ from repro.cluster.capacity import servers_for_target_utilization
 from repro.cluster.interface import Scheduler
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.multi import MultiPolicyRunner
-from repro.cluster.simulator import BatchSimulator, Simulator
 from repro.cluster.streaming import StreamingSimulator
 from repro.traces.stream import TraceSource, TraceView
 from repro.core.config import WaterWiseConfig
@@ -131,70 +130,40 @@ def simulate(
     scheduling_interval_s: float = 300.0,
     regions: Sequence[Region] | None = None,
     include_embodied: bool = True,
-    engine: str = "scalar",
+    engine: str = "batch",
     chunk_size: int = 4096,
     chaos=None,
     chaos_seed: int = 0,
     kernel: str = "vector",
 ) -> SimulationResult:
-    """Run one policy over one trace (thin wrapper around the simulators).
+    """Run one policy over one trace through :class:`StreamingSimulator`.
 
-    ``engine="batch"`` runs the vectorized :class:`BatchSimulator` (identical
-    decisions and footprints, ~13–16x faster on large traces) and converts
-    the columnar result back to a :class:`SimulationResult` so callers are
-    engine-agnostic.  ``engine="stream"`` runs the bounded-memory
-    :class:`StreamingSimulator` over ``trace`` — either a chunked
-    :class:`~repro.traces.stream.TraceSource` or a materialized trace
-    (wrapped in a :class:`~repro.traces.stream.TraceView`) — and returns its
-    aggregate-only :class:`~repro.cluster.streaming.StreamResult` (same
-    figures of merit, no per-job outcome list).
-
-    ``kernel`` selects the array engines' event-kernel tier
-    (``auto``/``vector``/``scalar``/``compiled``; results are
-    tier-invariant).  The scalar *engine* has no kernel and ignores it.
+    ``trace`` is either a chunked :class:`~repro.traces.stream.TraceSource`
+    or a materialized trace (wrapped in a
+    :class:`~repro.traces.stream.TraceView`).  ``engine="batch"`` keeps every
+    job's outcome (``collect="full"``) and returns a
+    :class:`SimulationResult`; ``engine="stream"`` keeps bounded-memory
+    aggregates (``collect="aggregate"``) and returns a
+    :class:`~repro.cluster.streaming.StreamResult` (same figures of merit, no
+    per-job outcome list).  Results do not depend on ``chunk_size`` or on the
+    event-kernel tier ``kernel`` (``auto``/``vector``/``scalar``/``compiled``).
     """
-    if engine not in ("scalar", "batch", "stream"):
-        raise ValueError(
-            f"engine must be 'scalar', 'batch' or 'stream', got {engine!r}"
-        )
-    if chaos is not None and engine == "scalar":
-        raise ValueError(
-            "chaos timelines need the array engines: use engine='batch' or "
-            "'stream' (BatchSimulator(kernel='scalar') is the chaos reference)"
-        )
-    if engine == "stream":
-        source = trace if isinstance(trace, TraceSource) else TraceView(trace)
-        return StreamingSimulator(
-            source,
-            scheduler,
-            dataset=dataset,
-            regions=regions,
-            servers_per_region=servers_per_region,
-            scheduling_interval_s=scheduling_interval_s,
-            delay_tolerance=delay_tolerance,
-            include_embodied=include_embodied,
-            chunk_size=chunk_size,
-            collect="aggregate",
-            chaos=chaos,
-            chaos_seed=chaos_seed,
-            kernel=kernel,
-        ).run()
-    if isinstance(trace, TraceSource):
-        trace = trace.materialize()
-    engine_cls = BatchSimulator if engine == "batch" else Simulator
-    engine_kwargs = {"kernel": kernel} if engine == "batch" else {}
-    result = engine_cls(
-        trace=trace,
-        scheduler=scheduler,
+    if engine not in ("batch", "stream"):
+        raise ValueError(f"engine must be 'batch' or 'stream', got {engine!r}")
+    result = StreamingSimulator(
+        trace if isinstance(trace, TraceSource) else TraceView(trace),
+        scheduler,
         dataset=dataset,
         regions=regions,
         servers_per_region=servers_per_region,
         scheduling_interval_s=scheduling_interval_s,
         delay_tolerance=delay_tolerance,
         include_embodied=include_embodied,
+        chunk_size=chunk_size,
+        collect="full" if engine == "batch" else "aggregate",
         chaos=chaos,
         chaos_seed=chaos_seed,
-        **engine_kwargs,
+        kernel=kernel,
     ).run()
     return result.to_simulation_result() if engine == "batch" else result
 
@@ -218,7 +187,7 @@ def run_policies(
     scheduling_interval_s: float = 300.0,
     regions: Sequence[Region] | None = None,
     include_embodied: bool = True,
-    engine: str = "scalar",
+    engine: str = "batch",
     chunk_size: int = 4096,
     chaos=None,
     chaos_seed: int = 0,
@@ -226,8 +195,8 @@ def run_policies(
 ) -> dict[str, SimulationResult]:
     """Simulate every policy in ``policies`` under identical conditions.
 
-    With ``engine="stream"`` every policy cell replays the *same* chunked
-    source (streams are restartable and chunk-size-invariant), so sweep
+    Every policy cell replays the *same* chunked source (streams are
+    restartable and chunk-size-invariant); with ``engine="stream"`` sweep
     memory stays O(chunk) instead of O(n_policies × n_jobs).
     ``engine="fused"`` goes one step further: a single
     :class:`~repro.cluster.multi.MultiPolicyRunner` pass drives every policy
@@ -237,8 +206,8 @@ def run_policies(
     :class:`~repro.cluster.streaming.StreamResult`\\ s (identical decisions,
     same summary keys).
     """
+    source = trace if isinstance(trace, TraceSource) else TraceView(trace)
     if engine == "fused":
-        source = trace if isinstance(trace, TraceSource) else TraceView(trace)
         runner = MultiPolicyRunner(
             source,
             {name: factory() for name, factory in policies.items()},
@@ -255,13 +224,10 @@ def run_policies(
             kernel=kernel,
         )
         return runner.run()
-    if engine != "stream" and isinstance(trace, TraceSource):
-        # Materialize once, not once per policy cell.
-        trace = trace.materialize()
     results: dict[str, SimulationResult] = {}
     for name, factory in policies.items():
         results[name] = simulate(
-            trace,
+            source,
             factory(),
             dataset,
             servers_per_region=servers_per_region,

@@ -115,12 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_workload_arguments(simulate)
     simulate.add_argument(
-        "--engine", choices=["scalar", "batch", "stream", "fused"], default=None,
-        help="simulation engine: batch = vectorized (identical results), "
+        "--engine", choices=["batch", "stream", "fused"], default=None,
+        help="simulation engine: batch = per-job results, "
              "stream = bounded-memory streaming (identical decisions, memory "
              "stays O(chunk + active jobs)), fused = one-pass multi-policy "
              "streaming (the workload is generated and columnized once for "
-             "ALL policies; identical decisions); default: scalar",
+             "ALL policies; identical decisions); default: batch",
     )
     simulate.add_argument(
         "--stream", action="store_true",
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(by cumulative time) to FILE",
     )
     simulate.add_argument(
-        "--kernel", choices=["auto", "scalar", "vector", "compiled"], default=None,
-        help="event-kernel tier for the array engines (results are "
+        "--kernel", choices=["auto", "scalar", "vector", "compiled"], default="vector",
+        help="event-kernel tier of the engine (results are "
              "tier-invariant; 'auto' picks the numba-compiled kernel when "
              "numba is installed; default: vector)",
     )
@@ -341,23 +341,13 @@ def _resolve_chaos(args: argparse.Namespace) -> tuple[str | None, int]:
     return chaos, seed
 
 
-def _resolve_engine(args: argparse.Namespace, chaos: str | None = None) -> tuple[str, int]:
+def _resolve_engine(args: argparse.Namespace) -> tuple[str, int]:
     """(engine, chunk_size) for ``simulate``, rejecting conflicting flags."""
     if args.stream and args.engine not in (None, "stream"):
         raise SystemExit(
             f"--stream conflicts with --engine {args.engine}; pick one"
         )
-    default = "scalar"
-    if chaos is not None:
-        # Chaos timelines run on the array engines only (the batch engine's
-        # scalar *kernel* remains the chaos reference path).
-        if args.engine == "scalar":
-            raise SystemExit(
-                "--engine scalar cannot run a chaos timeline; use "
-                "--engine batch/stream/fused"
-            )
-        default = "batch"
-    engine = "stream" if args.stream else (args.engine or default)
+    engine = "stream" if args.stream else (args.engine or "batch")
     if args.chunk_size is not None and engine not in ("stream", "fused"):
         raise SystemExit(
             "--chunk-size requires a chunked engine (--engine stream/fused)"
@@ -367,13 +357,7 @@ def _resolve_engine(args: argparse.Namespace, chaos: str | None = None) -> tuple
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     chaos, chaos_seed = _resolve_chaos(args)
-    engine, chunk_size = _resolve_engine(args, chaos)
-    if args.kernel is not None and engine == "scalar":
-        raise SystemExit(
-            "--kernel selects the array engines' event-kernel tier; the "
-            "scalar engine has none (use --engine batch/stream/fused)"
-        )
-    kernel = args.kernel or "vector"
+    engine, chunk_size = _resolve_engine(args)
     source = _build_source(args)
     dataset = _build_dataset(args)
     if engine in ("stream", "fused"):
@@ -431,7 +415,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         chunk_size=chunk_size,
         chaos=chaos,
         chaos_seed=chaos_seed,
-        kernel=kernel,
+        kernel=args.kernel,
     )
     if profiler is not None:
         profiler.disable()
@@ -791,7 +775,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{outcome.total_water_l:.2f}",
             f"{outcome.mean_service_ratio:.4f}",
             f"{outcome.violation_fraction:.4f}",
-            "-" if outcome.digest is None else f"{outcome.digest:08x}",
+            f"{outcome.digest:08x}",
         ]
         for outcome in outcomes
     ]

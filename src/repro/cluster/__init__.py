@@ -9,15 +9,16 @@ logic through trace simulation.  This subpackage is that simulation substrate:
   :class:`SchedulerDecision`),
 * :mod:`repro.cluster.footprint` — vectorized carbon/water footprint
   matrices for a batch of jobs across regions (what the policies optimize),
-* :mod:`repro.cluster.datacenter` — the per-region capacity/queue model,
-* :mod:`repro.cluster.simulator` — the discrete-event trace-driven simulators
-  (the scalar reference :class:`Simulator` and the vectorized
-  :class:`BatchSimulator`),
-* :mod:`repro.cluster.batch` — columnar job/result containers for the batch
-  engine (:class:`JobArrays`, :class:`BatchSchedulingContext`,
-  :class:`BatchResult`),
-* :mod:`repro.cluster.events` — the array-batched event kernel both array
-  engines drive their discrete-event core through,
+* :mod:`repro.cluster.streaming` — the simulation engine,
+  :class:`StreamingSimulator`: chunked, checkpointable, returning per-job
+  columns (``collect="full"``) or bounded-memory aggregates
+  (``collect="aggregate"``),
+* :mod:`repro.cluster.simulator` — the engine's shared configuration
+  (validation, chaos timeline, round cadence),
+* :mod:`repro.cluster.batch` — columnar job/result containers
+  (:class:`JobArrays`, :class:`BatchSchedulingContext`, :class:`BatchResult`),
+* :mod:`repro.cluster.events` — the array-batched event kernel the engine
+  drives its discrete-event core through,
 * :mod:`repro.cluster.multi` — the fused multi-policy runner (one workload
   pass, K policies in lockstep),
 * :mod:`repro.cluster.timeline` — the chaos & elasticity engine: seeded,
@@ -30,13 +31,11 @@ logic through trace simulation.  This subpackage is that simulation substrate:
 
 from repro.cluster.batch import DEFER, BatchResult, BatchSchedulingContext, JobArrays
 from repro.cluster.capacity import servers_for_target_utilization
-from repro.cluster.datacenter import Datacenter
 from repro.cluster.footprint import FootprintCalculator, RunningFootprintTotals
 from repro.cluster.interface import Scheduler, SchedulerDecision, SchedulingContext
 from repro.cluster.events import EventQueue
 from repro.cluster.metrics import JobOutcome, RunningJobStats, SimulationResult
 from repro.cluster.multi import MultiPolicyRunner
-from repro.cluster.simulator import BatchSimulator, Simulator
 from repro.cluster.streaming import (
     AdmissionDecisions,
     EngineState,
@@ -57,10 +56,8 @@ __all__ = [
     "DEFER",
     "BatchResult",
     "BatchSchedulingContext",
-    "BatchSimulator",
     "ChaosSpec",
     "ClusterTimeline",
-    "Datacenter",
     "EngineState",
     "EventQueue",
     "FootprintCalculator",
@@ -73,7 +70,6 @@ __all__ = [
     "SchedulerDecision",
     "SchedulingContext",
     "SimulationResult",
-    "Simulator",
     "StreamResult",
     "StreamingSimulator",
     "available_chaos",

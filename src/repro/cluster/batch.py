@@ -1,14 +1,15 @@
-"""Columnar (structure-of-arrays) containers for the batch simulation engine.
+"""Columnar (structure-of-arrays) containers for the simulation engine.
 
-The scalar :class:`~repro.cluster.simulator.Simulator` walks one
-:class:`~repro.traces.job.Job` object at a time, which is convenient but slow:
-at 10k+ jobs the Python attribute access, per-job dataclass construction and
-per-job footprint integration dominate the runtime.  The batch engine instead
-keeps one NumPy array per job attribute and operates on whole scheduling
-batches at once:
+Walking one :class:`~repro.traces.job.Job` object at a time is convenient but
+slow: at 10k+ jobs the Python attribute access, per-job dataclass
+construction and per-job footprint integration dominate the runtime.  The
+engine (:class:`~repro.cluster.streaming.StreamingSimulator`) instead keeps
+one NumPy array per job attribute and operates on whole scheduling batches
+at once:
 
-* :class:`JobArrays` — a read-only columnar view of a trace, with home
-  regions resolved to integer codes against the simulated region order;
+* :class:`JobArrays` — a read-only columnar view of the engine's job pool,
+  with home regions resolved to integer codes against the simulated region
+  order;
 * :class:`BatchSchedulingContext` — the array-world counterpart of
   :class:`~repro.cluster.interface.SchedulingContext`, handed to vectorized
   scheduler fast paths (see :mod:`repro.schedulers.vectorized`);
@@ -19,8 +20,8 @@ batches at once:
 :class:`BatchResult` can be converted back into the object world
 (:meth:`BatchResult.to_outcomes` / :meth:`BatchResult.to_simulation_result`)
 when report code wants :class:`~repro.cluster.metrics.JobOutcome` objects;
-the conversion is the only O(n) Python loop in the batch path and is entirely
-optional.
+the conversion is the only O(n) Python loop of a ``collect="full"`` run and
+is entirely optional.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.cluster.footprint import FootprintCalculator
 from repro.regions.latency import TransferLatencyModel
 from repro.regions.region import Region
 from repro.sustainability.datasets import SustainabilityDataset
-from repro.traces.trace import Trace
 
 __all__ = [
     "DEFER",
@@ -56,14 +56,10 @@ def resolve_fast_decision(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a fast path's round result; returns ``(choice, commit_positions)``.
 
-    Shared by the one-shot :class:`~repro.cluster.simulator.BatchSimulator`
-    and the :class:`~repro.cluster.streaming.StreamingSimulator`, whose
-    decision paths must stay operation-for-operation identical (the
-    differential harness enforces digest equality between them).  ``choice``
-    holds one region code per batch position (:data:`DEFER` postpones);
-    ``commit_positions`` lists the assigned positions in commit order — a
-    custom commit order must cover exactly the assigned positions, because
-    commit order decides FIFO tie-breaking and a silently dropped or
+    ``choice`` holds one region code per batch position (:data:`DEFER`
+    postpones); ``commit_positions`` lists the assigned positions in commit
+    order — a custom commit order must cover exactly the assigned positions,
+    because commit order decides FIFO tie-breaking and a silently dropped or
     duplicated position would corrupt the equivalence guarantee.
     """
     if isinstance(result, tuple):
@@ -93,12 +89,13 @@ def resolve_fast_decision(
 
 @dataclasses.dataclass(frozen=True)
 class JobArrays:
-    """Read-only columnar view of a trace, aligned with the trace's job order.
+    """Read-only columnar view of a set of jobs.
 
-    All arrays share the same length and position ``i`` describes
-    ``trace[i]``.  Estimated values (``exec_est`` / ``energy_est``) are what
-    schedulers may see; realized values (``exec_real`` / ``energy_real``) are
-    what the simulator charges, exactly mirroring
+    All arrays share the same length and position ``i`` describes one job
+    (the engine indexes them by job-pool slot).  Estimated values
+    (``exec_est`` / ``energy_est``) are what schedulers may see; realized
+    values (``exec_real`` / ``energy_real``) are what the simulator charges,
+    exactly mirroring
     :attr:`~repro.traces.job.Job.realized_execution_time` and
     :attr:`~repro.traces.job.Job.realized_energy_kwh`.
     """
@@ -119,46 +116,6 @@ class JobArrays:
     def n(self) -> int:
         return len(self.job_id)
 
-    @classmethod
-    def from_trace(cls, trace: Trace, region_keys: Sequence[str]) -> "JobArrays":
-        """Build the columnar view of ``trace`` over the simulated regions.
-
-        Raises ``ValueError`` when a job's home region is not part of
-        ``region_keys``.  The scalar engine usually fails the same way, just
-        later — at the first transfer-latency or baseline lookup referencing
-        the unknown region — but a cluster restricted to a subset of a
-        trace's home regions (with a latency model covering the superset) is
-        only supported by the scalar :class:`~repro.cluster.simulator.Simulator`;
-        use :meth:`Trace.restricted_to_regions` to remap such traces for the
-        batch engine.
-        """
-        keys = tuple(region_keys)
-        columns = trace.to_columns()
-        homes = np.asarray(columns["home_region"], dtype=object)
-        home_idx = np.full(len(homes), -1, dtype=np.int64)
-        for code, key in enumerate(keys):
-            home_idx[homes == key] = code
-        unknown = np.flatnonzero(home_idx < 0)
-        if len(unknown):
-            i = int(unknown[0])
-            raise ValueError(
-                f"job {columns['job_id'][i]} has home region {homes[i]!r} which is not "
-                f"part of the simulated cluster ({sorted(keys)})"
-            )
-        return cls(
-            region_keys=keys,
-            job_id=columns["job_id"],
-            arrival=columns["arrival_time"],
-            exec_est=columns["execution_time"],
-            exec_real=columns["realized_execution_time"],
-            energy_est=columns["energy_kwh"],
-            energy_real=columns["realized_energy_kwh"],
-            home_idx=home_idx,
-            package_gb=columns["package_gb"],
-            servers=columns["servers_required"],
-            workloads=columns["workload"],
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class BatchSchedulingContext:
@@ -175,10 +132,10 @@ class BatchSchedulingContext:
         Remaining capacity per region (``(R,)`` int array) — free slots not
         already promised to queued jobs.
     jobs:
-        Columnar view of the *whole* trace.
+        Columnar view of the engine's job pool.
     batch:
         Indices (into ``jobs``) of the jobs awaiting placement this round, in
-        the same order the scalar engine would present them.
+        the order the policy's scalar ``schedule`` would receive them.
     wait_times:
         Seconds each batch job has been waiting since first consideration
         (aligned with ``batch``).
@@ -208,7 +165,7 @@ class BatchSchedulingContext:
 
 
 class BatchResult:
-    """Columnar result of one batch simulation.
+    """Columnar result of one simulation run (``collect="full"``).
 
     Per-job arrays are sorted by job id (like
     :attr:`SimulationResult.outcomes`) and aggregate properties mirror
@@ -223,8 +180,8 @@ class BatchResult:
     #: :mod:`repro.cluster.timeline`.
     chaos_stats: dict | None = None
     #: Event-kernel telemetry (resolved kernel name, per-path event counters,
-    #: binding-point splits, jit compile time); ``None`` for the object-world
-    #: engine.  See :class:`repro.cluster.events.KernelStats`.
+    #: binding-point splits, jit compile time).  See
+    #: :class:`repro.cluster.events.KernelStats`.
     kernel_stats: dict | None = None
 
     def __init__(
@@ -421,8 +378,8 @@ class BatchResult:
         Two runs that made the same scheduling decisions — same executed
         regions, start/finish/ready times, transfer latencies, deferral
         counts and footprints for every job — have equal digests.  The
-        streaming engine's checkpoint/resume determinism tests compare this
-        digest against the one-shot batch engine's.
+        engine's chunking and checkpoint/resume determinism tests compare
+        this digest against a single-chunk run's.
         """
         crc = zlib.crc32(repr(self.region_keys).encode("utf-8"))
         for column in (
@@ -447,13 +404,13 @@ class BatchResult:
 
     # -- comparisons -------------------------------------------------------------------
     def carbon_savings_vs(self, baseline) -> float:
-        """Percent carbon saving vs. another batch or scalar result."""
+        """Percent carbon saving vs. another result."""
         if baseline.total_carbon_g == 0.0:
             return 0.0
         return 100.0 * (1.0 - self.total_carbon_g / baseline.total_carbon_g)
 
     def water_savings_vs(self, baseline) -> float:
-        """Percent water saving vs. another batch or scalar result."""
+        """Percent water saving vs. another result."""
         if baseline.total_water_l == 0.0:
             return 0.0
         return 100.0 * (1.0 - self.total_water_l / baseline.total_water_l)

@@ -52,14 +52,14 @@ Callers can additionally force regions onto the replay path through the
 ``contended`` mask; the prefix-sum proof itself is already structurally
 safe under time-varying capacity (a drained region running over its
 shrunken capacity shows up as a negative free count the prefix sum
-rejects, and the engines cut windows at every capacity breakpoint so
-capacity is constant inside a window), so the engines no longer need it.
+rejects, and the engine cuts windows at every capacity breakpoint so
+capacity is constant inside a window), so the engine no longer needs it.
 
 The clean path only fires when it is provably equivalent to the replay, and
 the replay *is* the original algorithm, so per-job regions, start/finish/
 ready times, deferrals and footprints — everything ``BatchResult.digest()``
 hashes — are byte-identical either way.  The registry-wide differential
-harness enforces this, and the engines expose ``kernel="scalar"`` to force
+harness enforces this, and the engine exposes ``kernel="scalar"`` to force
 the reference loop everywhere (used by differential tests and as the
 benchmark baseline).
 
@@ -189,7 +189,7 @@ def _merge_sorted(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge a push batch into ``(when, seq)``-sorted pending arrays.
 
-    Every push batch the engines produce carries sequence numbers assigned
+    Every push batch the engine produces carries sequence numbers assigned
     from the queue's monotone counter *after* everything already pending —
     so all new seqs exceed all pending seqs, and within the batch seqs
     ascend in batch order.  That invariant reduces the merge to a single
@@ -305,7 +305,7 @@ def process_until(
     finished slots in the canonical ``(when, region, seq)`` order — the same
     order on every kernel, chunk size and checkpoint layout.  ``contended``
     (a per-region bool mask) forces regions onto the replay path regardless
-    of the clean proof; the engines no longer need it (capacity is constant
+    of the clean proof; the engine no longer needs it (capacity is constant
     inside a window) but the hook remains for tests.  ``compiled`` routes
     the replay residue through the flat-array kernel in
     :mod:`repro.cluster._kernel_compiled` (numba-jitted when available,

@@ -9,9 +9,10 @@ matrices in a handful of NumPy operations using the job *estimates* (what a
 real scheduler would know) and the dataset's intensity values at the decision
 time.
 
-The simulator separately uses :meth:`FootprintCalculator.integrate_job` for
-*accounting*: the realized footprint of a finished job, integrating the
-region's hourly intensity series over the job's actual execution window.
+The simulator separately uses :meth:`FootprintCalculator.integrate_batch` for
+*accounting*: the realized footprint of finished jobs, integrating each
+region's hourly intensity series over the jobs' actual execution windows
+(:meth:`FootprintCalculator.integrate_job` is the one-job form).
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ _SECONDS_PER_HOUR = 3600.0
 class RunningFootprintTotals:
     """Carry-over footprint accumulator for the streaming engine.
 
-    The one-shot batch engine integrates every job's footprint in a single
-    :meth:`FootprintCalculator.integrate_batch` pass after the event loop
-    drains.  The streaming engine instead integrates each chunk of *finished*
-    jobs as it retires them (the same prefix-sum kernel, so the per-job
-    values are identical) and folds the results into this accumulator:
+    The engine integrates each chunk of *finished* jobs as it retires them
+    (one :meth:`FootprintCalculator.integrate_batch` prefix-sum pass per
+    flush, so the per-job values do not depend on the chunking) and, in
+    aggregate mode, folds the results into this accumulator:
     per-region and overall totals survive across chunk boundaries while the
     per-job columns are released.  Picklable, so checkpoints carry it.
 

@@ -213,12 +213,12 @@ class SimulationResult:
     #: Aggregate MILP-solver counters for the run (presolve ratios, warm-start
     #: iteration savings, structured-path hit rates) when the policy routed
     #: rounds through a :class:`~repro.milp.session.SolverSession`; ``None``
-    #: for policies that never solve MILPs.  Set by the engines after
+    #: for policies that never solve MILPs.  Set by the simulator after
     #: construction.
     solver_stats: dict | None = None
-    #: Event-kernel telemetry for array-engine runs; ``None`` here (the
-    #: object-world engine has no array kernel).  Declared so result types
-    #: stay attribute-compatible.  See :class:`repro.cluster.events.KernelStats`.
+    #: Event-kernel telemetry; ``None`` here (the object-world view carries
+    #: none).  Declared so result types stay attribute-compatible.  See
+    #: :class:`repro.cluster.events.KernelStats`.
     kernel_stats: dict | None = None
 
     def __init__(

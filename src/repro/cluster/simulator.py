@@ -1,9 +1,9 @@
-"""Trace-driven discrete-event simulator for geo-distributed scheduling.
+"""Shared configuration of the trace-driven discrete-event simulation.
 
-The simulator replays a :class:`~repro.traces.trace.Trace` against a set of
-regional data centers under a scheduling policy:
+The simulation replays a job workload against a set of regional data centers
+under a scheduling policy:
 
-1. Jobs arrive according to the trace.  At every scheduling round (a fixed
+1. Jobs arrive according to the workload.  At every scheduling round (a fixed
    cadence, the paper's "jobs invoked together or nearby in time") the policy
    receives the batch of jobs that arrived since the previous round plus any
    jobs it previously deferred, and must assign or defer each of them.
@@ -11,78 +11,39 @@ regional data centers under a scheduling policy:
    home, then occupies servers in the destination data center for its
    realized execution time, queuing FIFO if the data center is full.
 3. When a job finishes, its realized carbon and water footprints are
-   integrated against the destination region's hourly intensity series and
-   recorded as a :class:`~repro.cluster.metrics.JobOutcome`.
+   integrated against the destination region's hourly intensity series.
 
-The simulator measures the wall-clock time spent inside the policy at every
-round (the paper's decision-making overhead, Fig. 13) and reports aggregate
-results as a :class:`~repro.cluster.metrics.SimulationResult`.
+:class:`_SimulatorBase` holds what every engine shares: parameter validation,
+the auto-built dataset, the chaos timeline and its dataset views, the round
+cadence and the result telemetry.  The engine itself is
+:class:`~repro.cluster.streaming.StreamingSimulator`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import heapq
-import itertools
 import math
-import time as _time
-from collections import deque
 from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro._validation import ensure_non_negative, ensure_positive
-from repro.cluster.batch import (
-    BatchResult,
-    BatchSchedulingContext,
-    JobArrays,
-    resolve_fast_decision,
-)
-from repro.cluster.datacenter import Datacenter
-from repro.cluster.events import EventQueue, KernelStats, process_until
 from repro.cluster.footprint import FootprintCalculator
-from repro.cluster.timeline import ChaosSpec, ClusterTimeline, apply_capacity_step, get_chaos
-from repro.cluster.interface import Scheduler, SchedulingContext
-from repro.cluster.metrics import JobOutcome, SimulationResult
+from repro.cluster.timeline import ChaosSpec, ClusterTimeline, get_chaos
+from repro.cluster.interface import Scheduler
 from repro.regions.latency import TransferLatencyModel
 from repro.regions.region import Region
 from repro.sustainability.datasets import ElectricityMapsLikeProvider, SustainabilityDataset
 from repro.sustainability.embodied import DEFAULT_SERVER, ServerSpec
-from repro.traces.job import Job
 from repro.traces.trace import Trace
-
-__all__ = ["Simulator", "BatchSimulator"]
-
-_EVENT_FINISH = 0
-_EVENT_READY = 1
-
-
-@dataclasses.dataclass
-class _PendingJob:
-    job: Job
-    considered_time: float
-    deferrals: int = 0
-
-
-@dataclasses.dataclass
-class _Execution:
-    job: Job
-    region_key: str
-    considered_time: float
-    assigned_time: float
-    ready_time: float
-    transfer_latency: float
-    deferrals: int
-    start_time: float | None = None
 
 
 class _SimulatorBase:
-    """Shared configuration/validation of the scalar and batch engines.
+    """Shared configuration/validation of the simulation engine.
 
     Parameters
     ----------
     trace:
-        The job trace to replay.
+        The job workload to replay (the engine passes its trace source).
     scheduler:
         The scheduling policy under test.
     dataset:
@@ -110,7 +71,7 @@ class _SimulatorBase:
         Safety limit on scheduling rounds (guards against policies that defer
         forever).
     kernel:
-        Event-kernel flavour for the array engines.  ``"auto"`` (resolve
+        Event-kernel flavour.  ``"auto"`` (resolve
         ``"compiled"`` when numba is importable, ``"vector"`` otherwise);
         ``"vector"`` (default) enables the batched clean-window path of
         :mod:`repro.cluster.events` plus binding-point segmentation;
@@ -121,8 +82,7 @@ class _SimulatorBase:
         everywhere.  All flavours are decision-identical (the differential
         harness compares their digests three ways); the scalar kernel
         exists as the testing reference and benchmark baseline.  The
-        object-world :class:`Simulator` ignores it.  The resolved choice is
-        surfaced as ``result.kernel_stats`` telemetry.
+        resolved choice is surfaced as ``result.kernel_stats`` telemetry.
     chaos:
         Optional chaos timeline: a :class:`~repro.cluster.timeline.ChaosSpec`,
         a registry name (``"region-outage"``, …) or a ``field=value,...``
@@ -133,8 +93,7 @@ class _SimulatorBase:
         sustainability datasets — carbon/water spikes apply to decisions
         *and* accounting, forecast error to decisions only
         (``self.dataset`` is the decision view; footprints integrate against
-        the truth).  The array engines support it; the object-world
-        :class:`Simulator` raises.
+        the truth).
     chaos_seed:
         Seed of the chaos timeline (independent of the trace seed).
     """
@@ -160,9 +119,9 @@ class _SimulatorBase:
         self.trace = trace
         self.scheduler = scheduler
         # The *declared* horizon where the workload carries one (generator
-        # duration; streams and their materialized traces agree on it, so
-        # both engines see the identical value) and the last arrival
-        # otherwise.  Sizes the auto-built dataset and the chaos timeline.
+        # duration; streams and their materialized traces agree on it) and
+        # the last arrival otherwise.  Sizes the auto-built dataset and the
+        # chaos timeline.
         horizon_s = getattr(trace, "declared_horizon_s", None)
         if horizon_s is None:
             horizon_s = getattr(trace, "horizon_s", 0.0)
@@ -242,7 +201,7 @@ class _SimulatorBase:
         )
 
     def _next_round_time(self, round_time: float, next_arrival: float | None) -> float:
-        """Time of the next scheduling round (shared by both engines).
+        """Time of the next scheduling round.
 
         Normally one interval later; when nothing is pending
         (``next_arrival`` is the first future arrival) the clock skips ahead
@@ -264,7 +223,7 @@ class _SimulatorBase:
         :class:`~repro.milp.session.SolverSession` through their decision
         controller; its aggregate statistics (presolve ratios, warm-start
         savings, structured-path hits) are part of a run's performance story,
-        so both engines publish them.  Policies without a controller leave
+        so the engine publishes them.  Policies without a controller leave
         ``solver_stats`` as ``None``.
         """
         controller = getattr(self.scheduler, "controller", None)
@@ -292,572 +251,3 @@ class _SimulatorBase:
         payload = stats.as_dict()
         payload["kernel"] = self.kernel
         result.kernel_stats = payload
-
-
-class Simulator(_SimulatorBase):
-    """Scalar reference engine: replay the trace one ``Job`` object at a time.
-
-    This is the readable, obviously-correct implementation the paper's
-    evaluation semantics are defined by.  :class:`BatchSimulator` is the
-    vectorized engine that must produce identical scheduling decisions and
-    footprints (its equivalence is enforced by the test suite); prefer it for
-    large traces.  Construction parameters are documented on
-    :class:`_SimulatorBase`.
-    """
-
-    # -- main entry point ----------------------------------------------------------------
-    def run(self) -> SimulationResult:
-        """Run the simulation to completion and return the aggregated result."""
-        if self._timeline is not None:
-            raise NotImplementedError(
-                "the object-world Simulator does not support chaos timelines; "
-                "use BatchSimulator(kernel='scalar') as the chaos reference engine"
-            )
-        self.scheduler.reset()
-        datacenters = {key: Datacenter(key, self._servers[key]) for key in self.region_keys}
-        events: list[tuple[float, int, int, object]] = []
-        sequence = itertools.count()
-        pending: dict[int, _PendingJob] = {}
-        executions: dict[int, _Execution] = {}
-        outcomes: list[JobOutcome] = []
-        decision_times: list[float] = []
-        round_times: list[float] = []
-        makespan = 0.0
-
-        jobs = list(self.trace)
-        trace_idx = 0
-
-        def push_event(when: float, kind: int, payload: object) -> None:
-            heapq.heappush(events, (when, kind, next(sequence), payload))
-
-        def record_start(entry) -> None:
-            execution = executions[entry.job.job_id]
-            execution.start_time = entry.start_time
-            push_event(entry.finish_time, _EVENT_FINISH, entry.job.job_id)
-
-        def process_events_until(limit: float) -> None:
-            nonlocal makespan
-            while events and events[0][0] <= limit:
-                when, kind, _seq, payload = heapq.heappop(events)
-                if kind == _EVENT_READY:
-                    execution = payload  # type: ignore[assignment]
-                    dc = datacenters[execution.region_key]
-                    entry = dc.admit(execution.job, when)
-                    if entry is not None:
-                        record_start(entry)
-                else:  # _EVENT_FINISH
-                    job_id = payload  # type: ignore[assignment]
-                    execution = executions[job_id]
-                    dc = datacenters[execution.region_key]
-                    started = dc.finish(job_id, when)
-                    for entry in started:
-                        record_start(entry)
-                    makespan = max(makespan, when)
-                    outcomes.append(self._build_outcome(execution, finish_time=when))
-
-        round_time = 0.0
-        rounds = 0
-        while trace_idx < len(jobs) or pending:
-            if rounds > self.max_rounds:
-                raise RuntimeError(
-                    f"scheduling did not converge after {self.max_rounds} rounds "
-                    f"({len(pending)} jobs still pending)"
-                )
-            # Advance the cluster state up to this round.
-            process_events_until(round_time)
-
-            # Pull newly arrived jobs into the pending set.
-            while trace_idx < len(jobs) and jobs[trace_idx].arrival_time <= round_time:
-                job = jobs[trace_idx]
-                pending[job.job_id] = _PendingJob(job=job, considered_time=round_time)
-                trace_idx += 1
-
-            if pending:
-                rounds += 1
-                round_times.append(round_time)
-                decision_seconds = self._run_round(
-                    round_time, pending, datacenters, executions, push_event
-                )
-                decision_times.append(decision_seconds)
-
-            # Choose the next round time.
-            next_arrival = (
-                jobs[trace_idx].arrival_time
-                if not pending and trace_idx < len(jobs)
-                else None
-            )
-            round_time = self._next_round_time(round_time, next_arrival)
-
-        # Drain every remaining event (jobs still running or queued).
-        process_events_until(math.inf)
-
-        region_utilization = {
-            key: dc.utilization(makespan) for key, dc in datacenters.items()
-        }
-        outcomes.sort(key=lambda outcome: outcome.job_id)
-        result = SimulationResult(
-            scheduler_name=self.scheduler.name,
-            outcomes=outcomes,
-            region_servers=dict(self._servers),
-            region_utilization=region_utilization,
-            makespan_s=makespan,
-            decision_times_s=decision_times,
-            round_times_s=round_times,
-            delay_tolerance=self.delay_tolerance,
-            trace_name=self.trace.name,
-        )
-        self._attach_solver_stats(result)
-        return result
-
-    # -- internals ----------------------------------------------------------------------------
-    def _run_round(
-        self,
-        now: float,
-        pending: dict[int, _PendingJob],
-        datacenters: Mapping[str, Datacenter],
-        executions: dict[int, _Execution],
-        push_event,
-    ) -> float:
-        batch = [entry.job for entry in pending.values()]
-        context = SchedulingContext(
-            now=now,
-            regions=self.regions,
-            capacity={key: dc.remaining_capacity() for key, dc in datacenters.items()},
-            dataset=self.dataset,
-            latency=self.latency,
-            footprints=self.footprints,
-            delay_tolerance=self.delay_tolerance,
-            scheduling_interval_s=self.scheduling_interval_s,
-            job_wait_times={
-                job_id: now - entry.considered_time for job_id, entry in pending.items()
-            },
-        )
-        started = _time.perf_counter()
-        decision = self.scheduler.schedule(batch, context)
-        decision_seconds = _time.perf_counter() - started
-        decision.validate_for(batch, self.region_keys)
-
-        for job_id, region_key in decision.assignments.items():
-            entry = pending.pop(job_id)
-            transfer = self.latency.transfer_time(
-                entry.job.home_region, region_key, entry.job.package_gb
-            )
-            execution = _Execution(
-                job=entry.job,
-                region_key=region_key,
-                considered_time=entry.considered_time,
-                assigned_time=now,
-                ready_time=now + transfer,
-                transfer_latency=transfer,
-                deferrals=entry.deferrals,
-            )
-            executions[job_id] = execution
-            push_event(execution.ready_time, _EVENT_READY, execution)
-
-        for job_id in decision.deferred:
-            pending[job_id].deferrals += 1
-        return decision_seconds
-
-    def _build_outcome(self, execution: _Execution, finish_time: float) -> JobOutcome:
-        if execution.start_time is None:
-            raise RuntimeError(f"job {execution.job.job_id} finished without a start time")
-        carbon, water = self.footprints.integrate_job(
-            execution.job, execution.region_key, execution.start_time
-        )
-        return JobOutcome(
-            job_id=execution.job.job_id,
-            workload=execution.job.workload,
-            home_region=execution.job.home_region,
-            executed_region=execution.region_key,
-            arrival_time=execution.job.arrival_time,
-            considered_time=execution.considered_time,
-            assigned_time=execution.assigned_time,
-            ready_time=execution.ready_time,
-            start_time=execution.start_time,
-            finish_time=finish_time,
-            execution_time=execution.job.realized_execution_time,
-            transfer_latency=execution.transfer_latency,
-            carbon_g=carbon,
-            water_l=water,
-            deferrals=execution.deferrals,
-            delay_tolerance=self.delay_tolerance,
-        )
-
-
-class BatchSimulator(_SimulatorBase):
-    """Vectorized batch engine: same semantics as :class:`Simulator`, on arrays.
-
-    The simulation state lives in NumPy arrays indexed by trace position
-    (see :class:`~repro.cluster.batch.JobArrays`); the event heap carries
-    primitive tuples instead of dataclasses; scheduling decisions dispatch to
-    a registered vectorized fast path
-    (:mod:`repro.schedulers.vectorized`) when the policy has one, falling
-    back to the policy's scalar ``schedule`` method otherwise; and realized
-    carbon/water footprints are integrated for *all* jobs in one
-    prefix-sum pass after the event loop drains
-    (:meth:`~repro.cluster.footprint.FootprintCalculator.integrate_batch`).
-
-    The engine is decision-equivalent to the scalar simulator: identical
-    executed regions, start/finish times and deferral counts, and footprints
-    equal to floating-point rounding (≪ 1e-9 relative).  Event tie-breaking
-    replicates the scalar heap exactly — finishes before readies at equal
-    times, globally sequenced pushes — so even saturated FIFO queues drain in
-    the same order.
-
-    Construction parameters are identical to :class:`Simulator`
-    (documented on :class:`_SimulatorBase`).
-    """
-
-    # -- main entry point ----------------------------------------------------------------
-    def run(self) -> BatchResult:
-        """Run the simulation to completion and return the columnar result."""
-        from repro.schedulers.vectorized import fast_path_for  # lazy: avoids import cycle
-
-        self.scheduler.reset()
-        arrays = JobArrays.from_trace(self.trace, self.region_keys)
-        fast_path = fast_path_for(self.scheduler)
-        n = arrays.n
-        n_regions = len(self.region_keys)
-
-        # Per-job state (trace order).
-        considered = np.zeros(n)
-        assigned_t = np.zeros(n)
-        ready_t = np.zeros(n)
-        start_t = np.full(n, -1.0)
-        finish_t = np.full(n, -1.0)
-        region_of = np.full(n, -1, dtype=np.int64)
-        transfer_s = np.zeros(n)
-        deferrals = np.zeros(n, dtype=np.int64)
-        evictions = np.zeros(n, dtype=np.int64)
-
-        # Per-region state.  ``servers`` is the *current* capacity — chaos
-        # timelines mutate it between event segments; the baseline stays in
-        # ``self._servers``.
-        servers = np.array([self._servers[key] for key in self.region_keys], dtype=np.int64)
-        free = servers.copy()
-        committed = np.zeros(n_regions, dtype=np.int64)
-        busy_server_seconds = np.zeros(n_regions)
-        queues: list[deque[int]] = [deque() for _ in range(n_regions)]
-
-        # Transfer latency split into a per-pair propagation term and a
-        # per-job serialization term (their sum equals
-        # ``TransferLatencyModel.transfer_time`` exactly).  The matrix is
-        # keyed by the *simulator's* region order — the latency model may
-        # order its regions differently or cover a superset.  Subclasses may
-        # override ``transfer_time`` with a non-additive formula, so they
-        # get a per-job call instead of the decomposition.
-        transfer_decomposes = type(self.latency) is TransferLatencyModel
-        if transfer_decomposes:
-            propagation = self.latency.propagation_seconds(self.region_keys)
-            serialization = arrays.package_gb * 8.0 / self.latency.bandwidth_gbps
-        else:
-            # Anything duck-typed only needs transfer_time(); see
-            # commit_assignment's per-job fallback.
-            propagation = serialization = None
-
-        job_servers = arrays.servers
-        exec_real = arrays.exec_real
-        arrival = arrays.arrival
-
-        events = EventQueue()
-        makespan = 0.0
-        use_fast = self.kernel != "scalar"
-        compiled = self.kernel == "compiled"
-        kernel_stats = KernelStats()
-        tl = self._timeline
-        tl_pos = 0
-
-        def run_kernel(limit: float) -> None:
-            nonlocal makespan
-            span = process_until(
-                events,
-                limit,
-                servers=job_servers,
-                exec_real=exec_real,
-                region_of=region_of,
-                start=start_t,
-                finish=finish_t,
-                free=free,
-                committed=committed,
-                busy_seconds=busy_server_seconds,
-                queues=queues,
-                finished=None,
-                use_fast=use_fast,
-                compiled=compiled,
-                stats=kernel_stats,
-            )
-            if span > makespan:
-                makespan = span
-
-        def process_events_until(limit: float) -> None:
-            # Segment the window at the timeline's capacity breakpoints so
-            # capacity is constant inside every kernel window: job events at
-            # exactly a breakpoint happen *before* the capacity change.
-            # Constant in-window capacity is what makes the prefix-sum proof
-            # (and binding-point segmentation) valid during chaos — a
-            # drained region running over shrunken capacity shows up as
-            # negative free count the proof rejects, so no region needs to
-            # be forced onto the replay path anymore.
-            nonlocal tl_pos
-            if tl is not None:
-                while tl_pos < tl.n_events and tl.event_when[tl_pos] <= limit:
-                    t = float(tl.event_when[tl_pos])
-                    group_end = tl_pos + 1
-                    while group_end < tl.n_events and tl.event_when[group_end] == t:
-                        group_end += 1
-                    run_kernel(t)
-                    requeued = apply_capacity_step(
-                        events,
-                        t,
-                        tl.event_region[tl_pos:group_end],
-                        tl.event_capacity[tl_pos:group_end],
-                        evict=tl.spec.eviction == "evict",
-                        capacity=servers,
-                        free=free,
-                        committed=committed,
-                        busy_seconds=busy_server_seconds,
-                        queues=queues,
-                        job_servers=job_servers,
-                        exec_real=exec_real,
-                        region_idx=region_of,
-                        start=start_t,
-                        finish=finish_t,
-                        assigned=assigned_t,
-                        ready=ready_t,
-                        transfer=transfer_s,
-                        evictions=evictions,
-                    )
-                    tl_pos = group_end
-                    for slot in requeued:
-                        pending[slot] = None
-            run_kernel(limit)
-
-        def commit_batch(jobs: np.ndarray, choice: np.ndarray, now: float) -> None:
-            if len(jobs) == 0:
-                return
-            home = arrays.home_idx[jobs]
-            if transfer_decomposes:
-                transfer = np.where(
-                    choice == home, 0.0, propagation[home, choice] + serialization[jobs]
-                )
-            else:
-                transfer = np.array(
-                    [
-                        0.0
-                        if choice[i] == home[i]
-                        else self.latency.transfer_time(
-                            self.region_keys[home[i]],
-                            self.region_keys[choice[i]],
-                            arrays.package_gb[jobs[i]],
-                        )
-                        for i in range(len(jobs))
-                    ]
-                )
-            region_of[jobs] = choice
-            assigned_t[jobs] = now
-            transfer_s[jobs] = transfer
-            ready_t[jobs] = now + transfer
-            events.push_ready_batch(now + transfer, jobs)
-
-        pending: dict[int, None] = {}  # insertion-ordered set of trace indices
-        decision_times: list[float] = []
-        round_times: list[float] = []
-        trace_idx = 0
-        round_time = 0.0
-        rounds = 0
-
-        def next_timeline_event() -> float | None:
-            """Next capacity event that can still affect in-flight work.
-
-            Keeps the round loop alive after the last arrival while evictions
-            or admissions may still requeue jobs; a timeline over an idle
-            cluster has nothing to act on and is applied in bulk at the end.
-            """
-            if tl is None or tl_pos >= tl.n_events:
-                return None
-            if not len(events) and not any(queues):
-                return None
-            return float(tl.event_when[tl_pos])
-
-        while trace_idx < n or pending or next_timeline_event() is not None:
-            if rounds > self.max_rounds:
-                raise RuntimeError(
-                    f"scheduling did not converge after {self.max_rounds} rounds "
-                    f"({len(pending)} jobs still pending)"
-                )
-            process_events_until(round_time)
-
-            stop = int(np.searchsorted(arrival, round_time, side="right"))
-            if stop > trace_idx:
-                considered[trace_idx:stop] = round_time
-                for job in range(trace_idx, stop):
-                    pending[job] = None
-                trace_idx = stop
-
-            if pending:
-                rounds += 1
-                round_times.append(round_time)
-                batch = np.fromiter(pending.keys(), dtype=np.int64, count=len(pending))
-                capacity = np.maximum(0, servers - committed)
-                if fast_path is not None:
-                    decision_seconds = self._run_fast_round(
-                        fast_path, round_time, batch, capacity, arrays,
-                        considered, pending, deferrals, commit_batch,
-                    )
-                else:
-                    decision_seconds = self._run_fallback_round(
-                        round_time, batch, capacity, considered,
-                        pending, deferrals, commit_batch,
-                    )
-                decision_times.append(decision_seconds)
-
-            next_wake = None
-            if not pending:
-                if trace_idx < n:
-                    next_wake = float(arrival[trace_idx])
-                next_event = next_timeline_event()
-                if next_event is not None and (next_wake is None or next_event < next_wake):
-                    next_wake = next_event
-            round_time = self._next_round_time(round_time, next_wake)
-
-        process_events_until(math.inf)
-
-        # One vectorized pass replaces the scalar engine's per-job
-        # ``integrate_job`` calls — the dominant cost of large simulations.
-        carbon, water = self.footprints.integrate_batch(
-            self.region_keys, region_of, start_t, exec_real, arrays.energy_real
-        )
-
-        # Utilization is normalized by the *baseline* server counts —
-        # ``servers`` may have been mutated by the chaos timeline.
-        region_utilization = {
-            key: (
-                float(busy_server_seconds[idx] / (self._servers[key] * makespan))
-                if makespan > 0.0
-                else 0.0
-            )
-            for idx, key in enumerate(self.region_keys)
-        }
-        order = np.argsort(arrays.job_id, kind="stable")
-        result = BatchResult(
-            scheduler_name=self.scheduler.name,
-            trace_name=self.trace.name,
-            region_keys=self.region_keys,
-            job_id=arrays.job_id[order],
-            workloads=[arrays.workloads[i] for i in order],
-            home_idx=arrays.home_idx[order],
-            region_idx=region_of[order],
-            arrival=arrival[order],
-            considered=considered[order],
-            assigned=assigned_t[order],
-            ready=ready_t[order],
-            start=start_t[order],
-            finish=finish_t[order],
-            execution_time=exec_real[order],
-            transfer_latency=transfer_s[order],
-            carbon_g=carbon[order],
-            water_l=water[order],
-            deferrals=deferrals[order],
-            region_servers=dict(self._servers),
-            region_utilization=region_utilization,
-            makespan_s=makespan,
-            decision_times_s=decision_times,
-            round_times_s=round_times,
-            delay_tolerance=self.delay_tolerance,
-            evictions=evictions[order],
-        )
-        self._attach_solver_stats(result)
-        self._attach_chaos_stats(result, int(evictions.sum()))
-        self._attach_kernel_stats(result, kernel_stats)
-        return result
-
-    # -- internals ----------------------------------------------------------------------------
-    def _run_fast_round(
-        self,
-        fast_path,
-        now: float,
-        batch: np.ndarray,
-        capacity: np.ndarray,
-        arrays: JobArrays,
-        considered: np.ndarray,
-        pending: dict[int, None],
-        deferrals: np.ndarray,
-        commit_batch,
-    ) -> float:
-        context = BatchSchedulingContext(
-            now=now,
-            region_keys=arrays.region_keys,
-            capacity=capacity,
-            jobs=arrays,
-            batch=batch,
-            wait_times=now - considered[batch],
-            delay_tolerance=self.delay_tolerance,
-            scheduling_interval_s=self.scheduling_interval_s,
-            dataset=self.dataset,
-            latency=self.latency,
-            footprints=self.footprints,
-            regions=self.regions,
-        )
-        started = _time.perf_counter()
-        result = fast_path(self.scheduler, context)
-        decision_seconds = _time.perf_counter() - started
-
-        choice, commit_positions = resolve_fast_decision(
-            result, batch, len(arrays.region_keys)
-        )
-        deferrals[batch[choice < 0]] += 1
-        jobs = batch[commit_positions]
-        for job in jobs.tolist():
-            del pending[job]
-        commit_batch(jobs, choice[commit_positions], now)
-        return decision_seconds
-
-    def _run_fallback_round(
-        self,
-        now: float,
-        batch: np.ndarray,
-        capacity: np.ndarray,
-        considered: np.ndarray,
-        pending: dict[int, None],
-        deferrals: np.ndarray,
-        commit_batch,
-    ) -> float:
-        """Scalar-policy fallback: materialize Jobs and the classic context."""
-        jobs = [self.trace[int(i)] for i in batch]
-        wait_times = {
-            job.job_id: now - considered[int(i)] for i, job in zip(batch, jobs)
-        }
-        context = SchedulingContext(
-            now=now,
-            regions=self.regions,
-            capacity={
-                key: int(capacity[idx]) for idx, key in enumerate(self.region_keys)
-            },
-            dataset=self.dataset,
-            latency=self.latency,
-            footprints=self.footprints,
-            delay_tolerance=self.delay_tolerance,
-            scheduling_interval_s=self.scheduling_interval_s,
-            job_wait_times=wait_times,
-        )
-        started = _time.perf_counter()
-        decision = self.scheduler.schedule(jobs, context)
-        decision_seconds = _time.perf_counter() - started
-        decision.validate_for(jobs, self.region_keys)
-
-        index_of = {job.job_id: int(i) for i, job in zip(batch, jobs)}
-        region_index = {key: idx for idx, key in enumerate(self.region_keys)}
-        indices: list[int] = []
-        regions: list[int] = []
-        for job_id, region_key in decision.assignments.items():
-            job = index_of[job_id]
-            del pending[job]
-            indices.append(job)
-            regions.append(region_index[region_key])
-        commit_batch(
-            np.array(indices, dtype=np.int64), np.array(regions, dtype=np.int64), now
-        )
-        for job_id in decision.deferred:
-            deferrals[index_of[job_id]] += 1
-        return decision_seconds
-

@@ -1,10 +1,8 @@
-"""Streaming horizon engine: bounded-memory, checkpointable batch simulation.
+"""The simulation engine: bounded-memory, checkpointable, chunk at a time.
 
-:class:`~repro.cluster.simulator.BatchSimulator` materializes the whole trace
-up front — ``JobArrays`` and ``BatchResult`` both allocate O(n_jobs) columns —
-so one-shot runs are memory-bound near tens of thousands of jobs.
-:class:`StreamingSimulator` runs the *same* discrete-event simulation against
-a chunked :class:`~repro.traces.stream.TraceSource`, holding only
+:class:`StreamingSimulator` runs the discrete-event simulation against a
+chunked :class:`~repro.traces.stream.TraceSource` (a materialized trace runs
+through :class:`~repro.traces.stream.TraceView`), holding only
 
 * the current chunk of not-yet-arrived jobs,
 * the in-flight jobs (pending, queued or executing), and
@@ -19,22 +17,25 @@ executions, accumulators), so a run can be checkpointed to disk at any chunk
 boundary and resumed later — bit-identically, which the differential harness
 enforces for every registered scheduler.
 
-Decision equivalence with the one-shot engine rests on one safety rule: a
-scheduling round at time *T* only runs once every arrival ≤ *T* has been
-ingested.  Chunks are time-ordered, so after ingesting a chunk whose last
-arrival is the *watermark* ``A``, every round with ``T < A`` is safe; rounds
-at or beyond the watermark wait for the next chunk (or :meth:`finalize`).
-Everything else — round cadence, batch order, commit order, event
-tie-breaking — replicates :class:`BatchSimulator` operation for operation,
-and the scheduler object itself (decision-controller history, slack manager,
-solver-session warm bases) simply persists across chunk boundaries.
+Chunk-size invariance rests on one safety rule: a scheduling round at time
+*T* only runs once every arrival ≤ *T* has been ingested.  Chunks are
+time-ordered, so after ingesting a chunk whose last arrival is the
+*watermark* ``A``, every round with ``T < A`` is safe; rounds at or beyond
+the watermark wait for the next chunk (or :meth:`finalize`).  Round cadence,
+batch order, commit order and event tie-breaking do not depend on the
+chunking, and the scheduler object itself (decision-controller history,
+slack manager, solver-session warm bases) simply persists across chunk
+boundaries.  The object-world reference simulator in ``tests/oracles/``
+defines the semantics; the equivalence cells hold the engine to its
+decisions.
 
 Results come in two shapes, chosen with ``collect``:
 
 * ``"full"`` (default) — per-job columns are retained and :meth:`finalize`
   returns a regular :class:`~repro.cluster.batch.BatchResult`, byte-identical
-  (``BatchResult.digest``) to the one-shot engine's.  Memory is O(trace) for
-  the *result* only; the simulation state stays bounded.
+  (``BatchResult.digest``) at every chunk size; ``.to_simulation_result()``
+  converts it to the object world.  Memory is O(trace) for the *result*
+  only; the simulation state stays bounded.
 * ``"aggregate"`` — finished jobs fold into
   :class:`~repro.cluster.metrics.RunningJobStats` (totals, means, streaming
   histogram quantiles, seeded reservoir sample) and
@@ -159,8 +160,9 @@ class EngineState:
     """Everything the simulation carries across chunk boundaries.
 
     The job pool is a set of slot-indexed columns; a slot is occupied from
-    ingest until the job finishes *and* its outcome has been flushed into the
-    result collector, then recycled.  All contents are plain
+    ingest until the job finishes *and* the result collector has taken its
+    outcome (at once when aggregating, at the next allocation when keeping
+    every job's row), then recycled.  All contents are plain
     dicts/lists/deques/NumPy arrays, so the state pickles — that is the
     checkpoint format.
     """
@@ -211,11 +213,12 @@ class EngineState:
 
     @property
     def active_jobs(self) -> int:
-        """Occupied pool slots (waiting + pending + in flight + unflushed)."""
+        """Occupied pool slots (waiting + pending + in flight + not yet collected)."""
         return self.pool_capacity - len(self.free_slots)
 
     def allocate(self, count: int) -> np.ndarray:
         """Claim ``count`` slots, growing the pool geometrically if needed."""
+        self.collector.release(self)
         shortfall = count - len(self.free_slots)
         if shortfall > 0:
             capacity = self.pool_capacity
@@ -225,7 +228,11 @@ class EngineState:
                 extension = np.zeros(grow, dtype=column.dtype)
                 self.pool[name] = np.concatenate([column, extension])
             self.free_slots.extend(range(capacity + grow - 1, capacity - 1, -1))
-        return np.array([self.free_slots.pop() for _ in range(count)], dtype=np.int64)
+        # The last ``count`` free slots, most recently freed first.
+        keep = len(self.free_slots) - count
+        taken = np.array(self.free_slots[keep:][::-1], dtype=np.int64)
+        del self.free_slots[keep:]
+        return taken
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,54 +280,101 @@ class _WorkloadView:
         return self._names[self._codes[index]]
 
 
+#: Finished jobs integrated per footprint call (bounds its temporaries).
+_FLUSH_BLOCK = 8192
+
+#: Pool columns a :class:`BatchResult` keeps for every job.
+_RESULT_COLUMNS = (
+    "job_id", "arrival", "considered", "assigned", "ready", "start", "finish",
+    "exec_real", "transfer", "deferrals", "evictions", "home", "region", "workload",
+)
+
+
 class _FullCollector:
-    """Retain finished-job columns and finalize into a :class:`BatchResult`."""
+    """Retain finished-job columns and finalize into a :class:`BatchResult`.
+
+    A finished job keeps its pool slot (*held*) until the pool needs slots
+    again (:meth:`release`, called by :meth:`EngineState.allocate`) or the
+    run ends, and its row is copied out only then.  A one-chunk run never
+    recycles a slot, so every row is copied once, at :meth:`finalize`, which
+    empties the pool column by column as the result takes its rows.
+    """
 
     kind = "full"
 
     def __init__(self) -> None:
         self._parts: list[dict[str, np.ndarray]] = []
+        self._held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add(self, rows: dict[str, np.ndarray]) -> None:
-        self._parts.append(rows)
+    def __setstate__(self, attributes: dict) -> None:
+        # Checkpoints written before slots were held carry none.
+        self.__dict__.update({"_held": []} | attributes)
+
+    def add(
+        self, state: EngineState, slots: np.ndarray, carbon: np.ndarray, water: np.ndarray
+    ) -> None:
+        self._held.append((slots, carbon, water))
+
+    def _take_held(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        held, self._held = self._held, []
+        if not held:
+            return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        return tuple(np.concatenate(column) for column in zip(*held))
+
+    def release(self, state: EngineState) -> None:
+        """Copy the held rows out of the pool and recycle their slots."""
+        if not self._held:
+            return
+        slots, carbon, water = self._take_held()
+        part = {name: state.pool[name][slots] for name in _RESULT_COLUMNS}
+        part["carbon"] = carbon
+        part["water"] = water
+        self._parts.append(part)
+        state.free_slots.extend(slots.tolist())
 
     def finalize(self, engine: "StreamingSimulator", state: EngineState) -> BatchResult:
-        if self._parts:
-            merged = {
-                key: np.concatenate([part[key] for part in self._parts])
-                for key in self._parts[0]
-            }
-        else:
-            int_keys = ("job_id", "home", "region", "workload", "deferrals", "evictions")
-            merged = {
-                key: np.zeros(0, dtype=np.int64 if key in int_keys else float)
-                for key in ("job_id", "arrival", "considered", "assigned", "ready",
-                            "start", "finish", "exec_real", "transfer", "carbon",
-                            "water", "deferrals", "evictions", "home", "region",
-                            "workload")
-            }
-        order = np.argsort(merged["job_id"], kind="stable")
+        slots, carbon, water = self._take_held()
+        parts, self._parts = self._parts, []
+        # Every job has finished, so the pool is emptied now.  The result
+        # takes its columns one at a time (released parts plus held rows, in
+        # job-id order), dropping each pool column and part as it goes, so
+        # only one extra column copy is alive.
+        pool = {name: state.pool[name] for name in _RESULT_COLUMNS}
+        state.pool = {name: np.zeros(0, column.dtype) for name, column in state.pool.items()}
+        state.free_slots = []
+        order = np.argsort(
+            np.concatenate([part["job_id"] for part in parts] + [pool["job_id"][slots]]),
+            kind="stable",
+        )
+        tails = {"carbon": carbon, "water": water}
+        columns = {}
+        for name in (*_RESULT_COLUMNS, "carbon", "water"):
+            tail = tails.pop(name) if name in tails else pool.pop(name)[slots]
+            columns[name] = np.concatenate([part.pop(name) for part in parts] + [tail])[order]
+        # The ordered columns stay the only part: a repeated finalize
+        # rebuilds the same result without holding a second copy here.
+        self._parts = [columns]
         names = state.workload_names
-        result = BatchResult(
+        return BatchResult(
             scheduler_name=engine.scheduler.name,
             trace_name=engine.trace_name,
             region_keys=state.region_keys,
-            job_id=merged["job_id"][order],
-            workloads=[names[code] for code in merged["workload"][order]],
-            home_idx=merged["home"][order],
-            region_idx=merged["region"][order],
-            arrival=merged["arrival"][order],
-            considered=merged["considered"][order],
-            assigned=merged["assigned"][order],
-            ready=merged["ready"][order],
-            start=merged["start"][order],
-            finish=merged["finish"][order],
-            execution_time=merged["exec_real"][order],
-            transfer_latency=merged["transfer"][order],
-            carbon_g=merged["carbon"][order],
-            water_l=merged["water"][order],
-            deferrals=merged["deferrals"][order],
-            evictions=merged["evictions"][order],
+            job_id=columns["job_id"],
+            workloads=np.array(names, dtype=object)[columns["workload"]].tolist(),
+            home_idx=columns["home"],
+            region_idx=columns["region"],
+            arrival=columns["arrival"],
+            considered=columns["considered"],
+            assigned=columns["assigned"],
+            ready=columns["ready"],
+            start=columns["start"],
+            finish=columns["finish"],
+            execution_time=columns["exec_real"],
+            transfer_latency=columns["transfer"],
+            carbon_g=columns["carbon"],
+            water_l=columns["water"],
+            deferrals=columns["deferrals"],
+            evictions=columns["evictions"],
             region_servers=engine.servers_by_region(),
             region_utilization=engine.region_utilization(state),
             makespan_s=state.makespan,
@@ -328,7 +382,6 @@ class _FullCollector:
             round_times_s=state.round_times,
             delay_tolerance=engine.delay_tolerance,
         )
-        return result
 
 
 class _AggregateCollector:
@@ -351,22 +404,30 @@ class _AggregateCollector:
         )
         self.footprints = RunningFootprintTotals(n_regions)
 
-    def add(self, rows: dict[str, np.ndarray]) -> None:
+    def add(
+        self, state: EngineState, slots: np.ndarray, carbon: np.ndarray, water: np.ndarray
+    ) -> None:
+        pool = state.pool
+        region = pool["region"][slots]
         self.stats.add(
-            region_idx=rows["region"],
-            home_idx=rows["home"],
-            considered=rows["considered"],
-            ready=rows["ready"],
-            start=rows["start"],
-            finish=rows["finish"],
-            execution_time=rows["exec_real"],
-            transfer_latency=rows["transfer"],
-            carbon_g=rows["carbon"],
-            water_l=rows["water"],
-            job_id=rows["job_id"],
-            evictions=rows["evictions"],
+            region_idx=region,
+            home_idx=pool["home"][slots],
+            considered=pool["considered"][slots],
+            ready=pool["ready"][slots],
+            start=pool["start"][slots],
+            finish=pool["finish"][slots],
+            execution_time=pool["exec_real"][slots],
+            transfer_latency=pool["transfer"][slots],
+            carbon_g=carbon,
+            water_l=water,
+            job_id=pool["job_id"][slots],
+            evictions=pool["evictions"][slots],
         )
-        self.footprints.add(rows["region"], rows["carbon"], rows["water"])
+        self.footprints.add(region, carbon, water)
+        state.free_slots.extend(slots.tolist())
+
+    def release(self, state: EngineState) -> None:
+        """Nothing is held: :meth:`add` recycles the slots at once."""
 
     def finalize(self, engine: "StreamingSimulator", state: EngineState) -> "StreamResult":
         return StreamResult(
@@ -613,7 +674,7 @@ class StreamResult:
 
 
 class StreamingSimulator(_SimulatorBase):
-    """Chunk-at-a-time batch engine over a :class:`TraceSource`.
+    """The simulation engine: chunk-at-a-time over a :class:`TraceSource`.
 
     Construction parameters extend :class:`_SimulatorBase` (the first
     positional argument is a *source*, not a trace — any object with
@@ -699,7 +760,11 @@ class StreamingSimulator(_SimulatorBase):
         # recycled; the cache is derived state (a pure function of the pool
         # columns), so it is deliberately not part of checkpoints.
         self._job_cache: dict[int, Job] = {}
-        # Transfer latency decomposition, as in BatchSimulator.
+        # Transfer latency split into a per-pair propagation term and a
+        # per-job serialization term (their sum equals
+        # ``TransferLatencyModel.transfer_time`` exactly).  Subclasses may
+        # override ``transfer_time`` with a non-additive formula, so they get
+        # a per-job call instead (see ``_commit_batch``).
         self._transfer_decomposes = type(self.latency) is TransferLatencyModel
         if self._transfer_decomposes:
             self._propagation = self.latency.propagation_seconds(self.region_keys)
@@ -1134,10 +1199,11 @@ class StreamingSimulator(_SimulatorBase):
             state.makespan = makespan
 
     def _process_events_until(self, limit: float) -> None:
-        # Mirrors BatchSimulator.run's segmentation exactly: cut the window
-        # at each capacity breakpoint (capacity stays constant inside every
-        # kernel window, which keeps the clean-prefix proof valid under
-        # chaos), apply the capacity events, requeue any evicted slots.
+        # Cut the window at each capacity breakpoint so capacity stays
+        # constant inside every kernel window (job events at exactly a
+        # breakpoint happen *before* the capacity change; constant in-window
+        # capacity keeps the clean-prefix proof valid under chaos), apply
+        # the capacity events, requeue any evicted slots.
         state = self.state
         tl = self._timeline
         if tl is not None:
@@ -1178,9 +1244,9 @@ class StreamingSimulator(_SimulatorBase):
     def _next_timeline_event(self) -> float | None:
         """Next capacity breakpoint, or ``None`` when it cannot affect a job.
 
-        Mirrors the batch engine's wake rule: a capacity change only matters
-        while jobs are in flight (queued or executing), so trailing events on
-        an idle cluster never keep the drain loop alive.
+        A capacity change only matters while jobs are in flight (queued or
+        executing), so trailing events on an idle cluster never keep the
+        drain loop alive.
         """
         tl = self._timeline
         state = self.state
@@ -1308,42 +1374,26 @@ class StreamingSimulator(_SimulatorBase):
             state.round_time = self._next_round_time(state.round_time, next_wake)
 
     def _flush_finished(self) -> None:
-        """Integrate + hand finished jobs to the collector, recycle their slots."""
+        """Integrate finished jobs and hand their slots to the collector."""
         state = self.state
         if not state.finished:
             return
         pool = state.pool
         idx = np.array(state.finished, dtype=np.int64)
-        region = pool["region"][idx].copy()
-        start = pool["start"][idx].copy()
-        exec_real = pool["exec_real"][idx].copy()
-        carbon, water = self.footprints.integrate_batch(
-            self.region_keys, region, start, exec_real, pool["energy_real"][idx]
-        )
-        state.collector.add(
-            {
-                "job_id": pool["job_id"][idx].copy(),
-                "arrival": pool["arrival"][idx].copy(),
-                "considered": pool["considered"][idx].copy(),
-                "assigned": pool["assigned"][idx].copy(),
-                "ready": pool["ready"][idx].copy(),
-                "start": start,
-                "finish": pool["finish"][idx].copy(),
-                "exec_real": exec_real,
-                "transfer": pool["transfer"][idx].copy(),
-                "deferrals": pool["deferrals"][idx].copy(),
-                "evictions": pool["evictions"][idx].copy(),
-                "home": pool["home"][idx].copy(),
-                "region": region,
-                "workload": pool["workload"][idx].copy(),
-                "carbon": carbon,
-                "water": water,
-            }
-        )
+        # Integrated in blocks: a one-chunk run flushes every job at once,
+        # and the integral's temporaries would otherwise scale with the trace.
+        footprints = [
+            self.footprints.integrate_batch(
+                self.region_keys, pool["region"][block], pool["start"][block],
+                pool["exec_real"][block], pool["energy_real"][block],
+            )
+            for block in np.split(idx, range(_FLUSH_BLOCK, len(idx), _FLUSH_BLOCK))
+        ]
+        carbon, water = (np.concatenate(column) for column in zip(*footprints))
+        state.collector.add(state, idx, carbon, water)
         if self._job_cache:
             for slot in state.finished:
                 self._job_cache.pop(slot, None)
-        state.free_slots.extend(state.finished)
         state.finished = []
 
     # -- scheduling rounds ---------------------------------------------------------------

@@ -467,9 +467,8 @@ def apply_capacity_step(
 ) -> list[int]:
     """Apply one timestamp's capacity events to live engine state.
 
-    Shared by both engines so the semantics cannot drift: the caller has
-    already processed every job event at or before ``t`` (the engines segment
-    their event windows at capacity breakpoints), ``regions``/``new_caps``
+    The caller has already processed every job event at or before ``t``
+    (the engine segments its event windows at capacity breakpoints), ``regions``/``new_caps``
     are this timestamp's events in ascending region order, and ``queue`` is
     the live :class:`~repro.cluster.events.EventQueue` (pending FINISH events
     are exactly the running jobs).

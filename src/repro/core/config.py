@@ -42,7 +42,7 @@ class WaterWiseConfig:
         How the scalar controller assembles and solves the round MILP:
         ``"array"`` (default) computes the cost/latency/tolerance matrices
         vectorized and builds the MILP directly in standard form — the same
-        code path the batch engines' fast path uses; ``"object"`` keeps the
+        code path the engine's fast path uses; ``"object"`` keeps the
         original ``Variable``/``Constraint`` object model and the per-job
         slack loop.  Both are decision-identical (the differential harness
         compares them); the object pipeline is retained as the readable

@@ -159,7 +159,7 @@ class DecisionController:
         With ``config.decision_pipeline == "array"`` (the default) the round
         matrices are computed vectorized and the MILP is built directly in
         standard form through :meth:`decide_arrays` — the exact code path the
-        batch engines' WaterWise fast path takes, on the same floats.
+        engine's WaterWise fast path takes, on the same floats.
         ``"object"`` keeps the original ``Variable``/``Constraint`` model
         (:func:`build_placement_problem`); the differential tests hold the
         two pipelines to identical decisions.
@@ -292,7 +292,7 @@ class DecisionController:
             objective=objective,
         )
 
-    # -- array-world entry point (batch engine fast path) -------------------------------
+    # -- array-world entry point (engine fast path) -------------------------------------
     def decide_arrays(
         self,
         cost: np.ndarray,

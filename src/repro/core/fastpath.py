@@ -23,8 +23,8 @@ entirely:
   :meth:`~repro.core.decision.DecisionController.decide_arrays`.
 
 Because the slack manager hands jobs to the controller in urgency order, the
-fast path returns ``(choice, commit_order)`` so the batch engine commits
-placements in exactly the order the scalar engine would — commit order
+fast path returns ``(choice, commit_order)`` so the engine commits
+placements in exactly the order the scalar ``schedule`` would — commit order
 decides FIFO tie-breaking in saturated data centers.
 
 The registrations are ``exact=True``: WaterWise subclasses customize
@@ -159,7 +159,7 @@ def waterwise_fast_path(
     if used_soft:
         scheduler.soft_rounds += 1
     choice[selected] = regions
-    # Commit in controller (urgency-ranked) order, like the scalar engine.
+    # Commit in controller (urgency-ranked) order, like the scalar schedule.
     return choice, selected
 
 

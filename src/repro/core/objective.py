@@ -90,7 +90,7 @@ def placement_cost(
     """Per-placement objective coefficients (Eq. 7–8) from the M×N matrices.
 
     The single implementation of the cost formula, shared by the object-world
-    :func:`build_placement_problem` and the batch engine's vectorized
+    :func:`build_placement_problem` and the engine's vectorized
     WaterWise fast path (:mod:`repro.core.fastpath`) so both produce
     bit-identical MILP objectives.
     """

@@ -112,7 +112,7 @@ class TransferLatencyModel:
 
         This is the propagation component of :meth:`transfer_time` (the
         serialization component is zero for an empty package), keyed by the
-        *caller's* region order — the batch engine and the vectorized
+        *caller's* region order — the engine and the vectorized
         scheduler fast paths add ``package_gb × 8 / bandwidth_gbps`` per job
         to reconstruct :meth:`transfer_time` exactly.
         """

@@ -1,7 +1,8 @@
 """Registry-dispatched vectorized fast paths for scheduling policies.
 
-The batch engine (:class:`~repro.cluster.simulator.BatchSimulator`) asks this
-registry for an array-world implementation of the policy under test.  A fast
+The simulation engine (:class:`~repro.cluster.streaming.StreamingSimulator`)
+asks this registry for an array-world implementation of the policy under
+test.  A fast
 path receives a :class:`~repro.cluster.batch.BatchSchedulingContext` and
 returns one region code per batch job (``DEFER`` postpones the job to the
 next round) — no per-job ``Job`` objects, no assignment dictionaries.  A fast
@@ -13,10 +14,10 @@ order (e.g. WaterWise's slack manager ranks jobs by urgency), because commit
 order decides FIFO tie-breaking in saturated queues.
 
 Policies without a registered fast path automatically fall back to their
-scalar :meth:`~repro.cluster.interface.Scheduler.schedule` method: the batch
+scalar :meth:`~repro.cluster.interface.Scheduler.schedule` method: the
 engine materializes the round's ``Job`` objects, builds the classic
-:class:`~repro.cluster.interface.SchedulingContext` and validates the decision
-exactly like the scalar simulator, so *any* custom policy runs unchanged
+:class:`~repro.cluster.interface.SchedulingContext` and validates the
+decision, so *any* custom policy runs unchanged
 (just without the fast-path speedup for its decision step).
 
 Every registered fast path must be decision-equivalent to the scalar

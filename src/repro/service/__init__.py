@@ -18,7 +18,7 @@ The layering, bottom to top:
   throughput counters, and in-loop checkpointing of live sessions,
 * :mod:`repro.service.replay` — trace replay through the *identical* live
   decision path, paced (``pace`` × real time) or fast-forwarded (``pace=0``);
-  a replayed run's result digest is byte-identical to the batch engine's,
+  a replayed run's result digest is byte-identical to a one-shot run's,
   which is how the live service is verified,
 * :mod:`repro.service.server` — a small JSON-lines TCP front end over the
   gateway for out-of-process clients (``repro serve``).

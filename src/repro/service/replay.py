@@ -3,7 +3,7 @@
 A :class:`TraceReplayer` paces a recorded :class:`TraceSource` through an
 :class:`AdmissionGateway` — the *same* gateway, engine, and ``admit()`` path a
 live session uses — so the live service can be verified by digest equality
-against the batch engine rather than trusted.
+against a one-shot engine run rather than trusted.
 
 Pacing:
 

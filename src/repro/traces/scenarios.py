@@ -1,6 +1,6 @@
 """Named workload-scenario library for sweeps, benchmarks and the CLI.
 
-PR 1's batch engine made single-trace sweeps fast; this library makes them
+The array engine made single-trace sweeps fast; this library makes them
 *diverse*.  Each scenario is a named, seeded recipe producing a workload with
 a distinct shape, so experiments can exercise the schedulers well beyond the
 default Borg/Alibaba pair:
@@ -47,8 +47,8 @@ streams only — no ``hash()``; see the PR 1 crc32 lesson), which the
 Hypothesis suites in ``tests/traces/test_scenarios.py`` and
 ``tests/traces/test_stream.py`` enforce.
 
-Scenarios plug in everywhere traces do: :func:`scenario_trace` feeds the
-one-shot simulators, :func:`scenario_source` the streaming engine,
+Scenarios plug in everywhere traces do: :func:`scenario_trace` builds a
+materialized trace, :func:`scenario_source` the engine's chunked source,
 ``SweepPoint(trace_kind=<scenario>)`` runs them through
 :mod:`repro.analysis.parallel`, and ``python -m repro simulate --scenario
 <name>`` drives them from the command line.

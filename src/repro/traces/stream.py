@@ -1,9 +1,8 @@
 """Chunked trace sources: bounded-memory, chunk-size-invariant job streams.
 
-The one-shot pipeline materializes a whole workload before simulating it —
-``Trace`` holds every :class:`~repro.traces.job.Job`, ``JobArrays`` copies it
-into columns — which caps runs at the trace that fits in memory.  This module
-is the streaming counterpart: a :class:`TraceSource` yields the same workload
+A materialized :class:`~repro.traces.trace.Trace` holds every
+:class:`~repro.traces.job.Job` of a workload, which caps runs at the trace
+that fits in memory.  A :class:`TraceSource` instead yields the same workload
 as a sequence of fixed-size, time-ordered :class:`JobChunk` columnar blocks,
 so the engine only ever holds one chunk (plus the in-flight jobs) at a time.
 
@@ -266,10 +265,10 @@ class TraceView(TraceSource):
             region_code = {key: i for i, key in enumerate(region_keys)}
             workload_code = {name: i for i, name in enumerate(workload_names)}
             home_idx = np.fromiter(
-                (region_code[h] for h in homes), dtype=np.int64, count=n
+                map(region_code.__getitem__, homes), dtype=np.int64, count=n
             )
             workload_idx = np.fromiter(
-                (workload_code[w] for w in workloads), dtype=np.int64, count=n
+                map(workload_code.__getitem__, workloads), dtype=np.int64, count=n
             )
             cached = (region_keys, workload_names, home_idx, workload_idx)
             self._codes_cache = cached

@@ -47,10 +47,10 @@ class Trace:
         """Build a trace directly from :meth:`to_columns`-shaped columns.
 
         The column dictionary becomes the trace's primary representation:
-        the batch engine and the streaming sources consume it as-is, and the
-        per-job :class:`Job` objects are only materialized lazily when an
-        object-world consumer (the scalar simulator, ``filter``, JSON
-        serialization) first touches them.  Columns must be sorted by
+        the engine's trace sources consume it as-is, and the per-job
+        :class:`Job` objects are only materialized lazily when an
+        object-world consumer (iteration, ``filter``, JSON serialization)
+        first touches them.  Columns must be sorted by
         ``(arrival_time, job_id)`` — generators emit them that way — and the
         constructor re-sorts them if they are not.
 
@@ -169,8 +169,8 @@ class Trace:
         """Columnar (structure-of-arrays) view of the trace, cached.
 
         One NumPy array (or tuple, for string fields) per job attribute,
-        aligned with the trace's sorted job order.  The batch simulation
-        engine builds its :class:`~repro.cluster.batch.JobArrays` from this,
+        aligned with the trace's sorted job order.
+        :class:`~repro.traces.stream.TraceView` chunks the trace from this,
         and the cache means sweeping many policies over one trace extracts
         the columns only once.  Callers must treat the arrays as read-only
         (the trace itself is immutable).

@@ -152,10 +152,23 @@ class TestRunSweep:
         assert [o.total_carbon_g for o in serial] == [o.total_carbon_g for o in procs]
 
     def test_batch_and_scalar_engines_agree(self):
-        batch_points = expand_grid(scheduler=["baseline"], delay_tolerance=[0.25], **TINY)
-        scalar_points = [dataclasses.replace(p, engine="scalar") for p in batch_points]
-        batch_outcome = run_sweep(batch_points, executor="serial")[0]
-        scalar_outcome = run_sweep(scalar_points, executor="serial")[0]
+        # A batch sweep cell against the object-world oracle on the point's
+        # own workload and dataset.
+        from repro.analysis import parallel
+        from repro.schedulers import make_scheduler
+        from tests.oracles.simulator import Simulator
+
+        point = expand_grid(scheduler=["baseline"], delay_tolerance=[0.25], **TINY)[0]
+        batch_outcome = run_sweep([point], executor="serial")[0]
+        source = parallel._point_source(point)
+        scalar_outcome = Simulator(
+            source.materialize(),
+            make_scheduler(point.scheduler),
+            dataset=parallel._point_dataset(point, source),
+            servers_per_region=point.servers_per_region,
+            scheduling_interval_s=point.scheduling_interval_s,
+            delay_tolerance=point.delay_tolerance,
+        ).run()
         assert batch_outcome.num_jobs == scalar_outcome.num_jobs
         assert batch_outcome.total_carbon_g == pytest.approx(
             scalar_outcome.total_carbon_g, rel=1e-9
@@ -205,9 +218,9 @@ class TestRunSweep:
 
 class TestWorkloadCacheSafety:
     def test_mixed_workload_thread_sweep_is_deterministic(self):
-        # Regression: the per-worker workload cache must be thread-local —
-        # a shared slot let concurrent cells of *different* workloads read
-        # each other's trace mid-update.
+        # Concurrent cells of *different* workloads share no state: a
+        # threaded sweep equals the serial one (a per-worker workload cache
+        # once let threads read each other's trace mid-update).
         points = expand_grid(
             scheduler=["baseline", "least-load"],
             trace_kind=["borg", "alibaba", "diurnal"],
@@ -219,27 +232,6 @@ class TestWorkloadCacheSafety:
             assert [stable_summary(o) for o in threaded] == [
                 stable_summary(o) for o in serial
             ]
-
-    def test_workload_cache_is_bounded_lru(self):
-        # A long sweep over many workloads must not grow the per-worker
-        # cache without limit: it is an LRU bounded to a few workloads.
-        from repro.analysis import parallel
-
-        points = expand_grid(
-            scheduler=["baseline"],
-            trace_kind="borg",
-            rate_per_hour=[5.0 + i for i in range(10)],
-            duration_days=0.02,
-            servers_per_region=4,
-        )
-        assert len(points) == 10
-        run_sweep(points, executor="serial")
-        entries = parallel._workload_entries()
-        assert len(entries) <= parallel._WORKLOAD_CACHE_SIZE
-        # Most-recently-used workload is retained (cache hit on re-run).
-        last_key = parallel._workload_key(points[-1])
-        cached_source = entries[last_key]["source"]
-        assert parallel._point_source(points[-1]) is cached_source
 
 
 class TestSharedMemoryCleanup:

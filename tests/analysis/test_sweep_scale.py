@@ -6,6 +6,7 @@ from repro.analysis.sweep import ExperimentScale, simulate, waterwise_factory
 from repro.core import WaterWiseConfig
 from repro.schedulers import BaselineScheduler
 from repro.sustainability import WRILikeProvider
+from tests.oracles.simulator import Simulator
 
 
 class TestExperimentScale:
@@ -74,9 +75,10 @@ class TestFactoriesAndSimulate:
         trace = scale.borg_trace()
         dataset = scale.dataset()
         common = dict(servers_per_region=4, delay_tolerance=0.25)
-        scalar = simulate(trace, BaselineScheduler(), dataset, **common)
-        batch = simulate(trace, BaselineScheduler(), dataset, engine="batch", **common)
-        # Both engines return SimulationResult and agree on the physics.
+        scalar = Simulator(trace, BaselineScheduler(), dataset=dataset, **common).run()
+        batch = simulate(trace, BaselineScheduler(), dataset, **common)
+        # The default engine returns a SimulationResult and agrees with the
+        # object-world oracle on the physics.
         assert type(batch) is type(scalar)
         assert batch.num_jobs == scalar.num_jobs
         assert batch.total_carbon_g == pytest.approx(scalar.total_carbon_g, rel=1e-9)

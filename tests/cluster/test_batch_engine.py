@@ -1,15 +1,16 @@
-"""Equivalence and unit tests for the vectorized batch simulation engine.
+"""Equivalence and unit tests for the engine's per-job (``collect="full"``) runs.
 
 The contract under test: for any trace, policy and cluster configuration,
-:class:`BatchSimulator` makes *identical scheduling decisions* to the scalar
-:class:`Simulator` (same executed regions, start/finish times and deferral
-counts) and produces footprints equal within 1e-9 relative.
+:class:`StreamingSimulator` makes *identical scheduling decisions* to the
+object-world oracle :class:`~tests.oracles.simulator.Simulator` (same
+executed regions, start/finish times and deferral counts) and produces
+footprints equal within 1e-9 relative.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSimulator, JobArrays, Simulator
+from repro.cluster import StreamingSimulator
 from repro.schedulers import (
     BaselineScheduler,
     CarbonGreedyOptimalScheduler,
@@ -19,8 +20,10 @@ from repro.schedulers import (
     has_fast_path,
 )
 from repro.traces import Trace
+from repro.traces.stream import TraceView
+from tests.oracles.simulator import Simulator
 
-from ..equivalence import EQ_RTOL, assert_equivalent, run_both
+from ..equivalence import EQ_RTOL, assert_equivalent, run_both, run_engine
 from .conftest import DeferOnceTestScheduler, FixedRegionTestScheduler, HomeRegionTestScheduler, make_job
 
 POLICY_FACTORIES = {
@@ -141,14 +144,14 @@ class TestScalarBatchEquivalence:
         )
         assert_equivalent(scalar, batch)
         # Sanity: the decisions really differ from plain round-robin.
-        plain = BatchSimulator(
+        plain = run_engine(
             small_trace, RoundRobinScheduler(), dataset=small_dataset, servers_per_region=30
-        ).run()
+        )
         assert batch.executed_regions != plain.executed_regions
 
     def test_duck_typed_latency_object(self, small_dataset, small_trace):
-        # The batch engine only requires transfer_time() of non-standard
-        # latency models, exactly like the scalar engine.
+        # The engine only requires transfer_time() of non-standard latency
+        # models, exactly like the oracle.
         class FlatLatency:
             def transfer_time(self, source, destination, package_gb=1.0):
                 return 0.0 if source == destination else 42.0
@@ -161,9 +164,7 @@ class TestScalarBatchEquivalence:
         assert_equivalent(scalar, batch)
 
     def test_empty_trace(self, small_dataset):
-        result = BatchSimulator(
-            Trace([]), BaselineScheduler(), dataset=small_dataset
-        ).run()
+        result = run_engine(Trace([]), BaselineScheduler(), dataset=small_dataset)
         assert result.num_jobs == 0
         assert result.total_carbon_g == 0.0
         assert result.total_water_l == 0.0
@@ -172,8 +173,14 @@ class TestScalarBatchEquivalence:
 
 class TestJobArrays:
     def test_columns_align_with_trace_order(self, small_trace, small_dataset):
-        arrays = JobArrays.from_trace(small_trace, small_dataset.region_keys)
-        assert arrays.n == len(small_trace)
+        # The engine's job pool, viewed as JobArrays: a single chunk of a
+        # fresh engine fills slots 0..n-1 in trace order.
+        source = TraceView(small_trace)
+        engine = StreamingSimulator(source, BaselineScheduler(), dataset=small_dataset)
+        engine.init_state()
+        engine._ingest(next(source.iter_chunks()))
+        arrays = engine._pool_arrays()
+        assert engine.state.jobs_seen == len(small_trace)
         for i in (0, len(small_trace) // 2, len(small_trace) - 1):
             job = small_trace[i]
             assert arrays.job_id[i] == job.job_id
@@ -183,9 +190,14 @@ class TestJobArrays:
             assert arrays.region_keys[arrays.home_idx[i]] == job.home_region
             assert arrays.workloads[i] == job.workload
 
-    def test_unknown_home_region_rejected(self, small_trace):
+    def test_unknown_home_region_rejected(self, small_trace, small_dataset):
+        zurich = [region for region in small_dataset.regions if region.key == "zurich"]
+        engine = StreamingSimulator(
+            TraceView(small_trace), BaselineScheduler(), dataset=small_dataset,
+            regions=zurich,  # the trace spans 5 regions
+        )
         with pytest.raises(ValueError, match="home region"):
-            JobArrays.from_trace(small_trace, ["zurich"])  # trace spans 5 regions
+            engine.run()
 
 
 class TestBatchResult:
@@ -219,13 +231,13 @@ class TestBatchResult:
         scalar_base = Simulator(
             small_trace, BaselineScheduler(), dataset=small_dataset, servers_per_region=30
         ).run()
-        batch_base = BatchSimulator(
+        batch_base = run_engine(
             small_trace, BaselineScheduler(), dataset=small_dataset, servers_per_region=30
-        ).run()
+        )
         _, batch_rr = run_both(
             small_trace, RoundRobinScheduler, small_dataset, servers_per_region=30
         )
-        # Batch results compare against scalar results and vice versa.
+        # Engine results compare against oracle results and vice versa.
         assert batch_rr.carbon_savings_vs(scalar_base) == pytest.approx(
             batch_rr.carbon_savings_vs(batch_base), rel=EQ_RTOL
         )
@@ -236,11 +248,12 @@ class TestBatchResult:
     def test_validation_errors_match_scalar_engine(self, small_dataset):
         trace = Trace([make_job(0, 0.0)])
         with pytest.raises(ValueError):
-            BatchSimulator(
+            run_engine(
                 trace, FixedRegionTestScheduler("atlantis"),
                 dataset=small_dataset, servers_per_region=1,
-            ).run()
+            )
         with pytest.raises(ValueError):
-            BatchSimulator(
-                trace, BaselineScheduler(), dataset=small_dataset, servers_per_region=0
+            StreamingSimulator(
+                TraceView(trace), BaselineScheduler(), dataset=small_dataset,
+                servers_per_region=0,
             )

@@ -1,8 +1,8 @@
-"""Tests for the per-region data-center capacity/queue model."""
+"""Tests for the reference simulator's per-region capacity/queue model."""
 
 import pytest
 
-from repro.cluster.datacenter import Datacenter
+from tests.oracles.datacenter import Datacenter
 
 from .conftest import make_job
 

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Simulator
 from repro.schedulers import BaselineScheduler, LeastLoadScheduler, RoundRobinScheduler
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces import Job, Trace
+
+from ..equivalence import run_engine
 
 _DATASET = ElectricityMapsLikeProvider(horizon_hours=96, seed=5)
 _REGION_KEYS = _DATASET.region_keys
@@ -60,14 +61,14 @@ def small_workload(draw):
 @given(workload=small_workload())
 def test_simulation_invariants(workload):
     trace, policy_name, servers_per_region = workload
-    result = Simulator(
+    result = run_engine(
         trace,
         _POLICIES[policy_name](),
         dataset=_DATASET,
         servers_per_region=servers_per_region,
         scheduling_interval_s=300.0,
         delay_tolerance=1.0,
-    ).run()
+    ).to_simulation_result()
 
     # Every job completes exactly once.
     assert sorted(o.job_id for o in result.outcomes) == sorted(j.job_id for j in trace)
@@ -138,15 +139,15 @@ def test_footprint_accounting_independent_of_policy_for_home_runs(n_jobs, seed):
     ]
     trace = Trace(jobs)
     results = [
-        Simulator(
+        run_engine(
             trace, policy(), dataset=_DATASET, servers_per_region=16, delay_tolerance=0.5
-        ).run()
+        )
         for policy in (BaselineScheduler, LeastLoadScheduler)
     ]
     # least-load over a single home region with ample capacity spreads jobs across
     # regions, so only compare when placements agree; baseline vs baseline always does.
-    baseline_again = Simulator(
+    baseline_again = run_engine(
         trace, BaselineScheduler(), dataset=_DATASET, servers_per_region=16, delay_tolerance=0.5
-    ).run()
+    )
     assert results[0].total_carbon_g == pytest.approx(baseline_again.total_carbon_g)
     assert results[0].total_water_l == pytest.approx(baseline_again.total_water_l)

@@ -11,12 +11,16 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSimulator, StreamingSimulator
+from repro.cluster import StreamingSimulator
+from repro.cluster.streaming import _FullCollector
 from repro.cluster.metrics import P2Quantile, ReservoirSample, RunningJobStats
 from repro.cluster.footprint import RunningFootprintTotals
 from repro.schedulers import make_scheduler
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.scenarios import scenario_source
+from tests.oracles.simulator import Simulator
+
+from ..equivalence import run_engine
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +35,10 @@ def source():
 
 @pytest.fixture(scope="module")
 def oneshot(source, dataset):
-    return BatchSimulator(
+    return run_engine(
         source.materialize(), make_scheduler("waterwise"), dataset=dataset,
         servers_per_region=8,
-    ).run()
+    )
 
 
 def _stream(source, dataset, policy="waterwise", **kwargs):
@@ -71,6 +75,24 @@ class TestLifecycle:
             skip += chunk.n
             size = 97 if size == 1 else 1
         assert engine.finalize().digest() == oneshot.digest()
+
+    def test_full_finalize_empties_the_pool_and_repeats(self, source, dataset, oneshot):
+        # Finished rows stay in their pool slots until the pool needs them
+        # or the run ends; finalize moves every row into the result.
+        engine = _stream(source, dataset, chunk_size=len(source.materialize()))
+        first = engine.run()
+        assert first.digest() == oneshot.digest()
+        assert engine.state.pool_capacity == 0
+        assert engine.state.active_jobs == 0
+        assert engine.finalize().digest() == first.digest()
+
+    def test_full_collector_from_before_held_slots_unpickles(self):
+        # Checkpoints whose collector predates held slots resume with none.
+        collector = _FullCollector()
+        del collector._held
+        restored = pickle.loads(pickle.dumps(collector))
+        assert restored._held == []
+        assert restored._parts == []
 
     def test_finalize_without_chunks_is_empty(self, source, dataset):
         engine = _stream(source, dataset, collect="aggregate")
@@ -451,9 +473,12 @@ class TestResultSurface:
                 source, make_scheduler("baseline"), dataset,
                 servers_per_region=8, delay_tolerance=0.25, engine=engine,
             )
-            for engine in ("scalar", "batch", "stream")
+            for engine in ("batch", "stream")
         }
-        reference = results["scalar"]
+        reference = Simulator(
+            source.materialize(), make_scheduler("baseline"), dataset=dataset,
+            servers_per_region=8, delay_tolerance=0.25,
+        ).run()
         for engine, result in results.items():
             assert result.num_jobs == reference.num_jobs, engine
             assert result.total_carbon_g == pytest.approx(
@@ -464,11 +489,12 @@ class TestResultSurface:
                      servers_per_region=8, delay_tolerance=0.25, engine="warp")
 
     def test_auto_built_datasets_agree_between_engines(self):
-        # Regression: with dataset=None both engines must size the
-        # sustainability dataset from the same (declared) horizon — a
-        # last-arrival-vs-duration mismatch silently broke digest equality.
+        # Regression: with dataset=None a materialized trace and its source
+        # must size the sustainability dataset from the same (declared)
+        # horizon — a last-arrival-vs-duration mismatch silently broke
+        # digest equality.
         src = scenario_source("diurnal", seed=7, rate_per_hour=2.0, duration_days=0.8)
-        one = BatchSimulator(src.materialize(), make_scheduler("waterwise")).run()
+        one = run_engine(src.materialize(), make_scheduler("waterwise"))
         streamed = StreamingSimulator(src, make_scheduler("waterwise")).run()
         assert streamed.digest() == one.digest()
 

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.fastpath as fastpath
-from repro.cluster import BatchSchedulingContext, JobArrays
+from repro.cluster import BatchSchedulingContext
 from repro.cluster.interface import SchedulingContext
 from repro.core import SlackManager, WaterWiseScheduler
 from repro.traces import Trace
 
+from ..equivalence import job_arrays
 from .conftest import make_job
 
 _HOMES = ["zurich", "madrid", "oregon", "milan", "mumbai"]
@@ -45,7 +46,7 @@ def slack_rounds(draw):
 
 def _contexts(jobs, wait, order, dataset, regions, latency, footprints):
     keys = tuple(dataset.region_keys)
-    arrays = JobArrays.from_trace(Trace(jobs), keys)
+    arrays = job_arrays(Trace(jobs), keys)
     position = {int(job_id): i for i, job_id in enumerate(arrays.job_id)}
     batch = np.array([position[jobs[i].job_id] for i in order], dtype=np.int64)
     common = dict(

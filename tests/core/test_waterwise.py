@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.cluster import Simulator
 from repro.core import WaterWiseConfig, WaterWiseScheduler
 from repro.schedulers import BaselineScheduler
 
+from ..equivalence import run_engine
 from .conftest import make_job
 
 
@@ -80,14 +80,14 @@ class TestEndToEndSavings:
     @pytest.fixture(scope="class")
     def results(self, dataset, small_trace):
         def run(scheduler):
-            return Simulator(
+            return run_engine(
                 small_trace,
                 scheduler,
                 dataset=dataset,
                 servers_per_region=25,
                 scheduling_interval_s=300.0,
                 delay_tolerance=0.5,
-            ).run()
+            )
 
         return {
             "baseline": run(BaselineScheduler()),

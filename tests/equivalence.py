@@ -1,8 +1,9 @@
-"""Shared scalar-vs-batch equivalence assertions.
+"""Shared oracle-vs-engine equivalence assertions.
 
-The contract: for any trace, policy and cluster configuration,
-:class:`~repro.cluster.simulator.BatchSimulator` makes *identical scheduling
-decisions* to the scalar :class:`~repro.cluster.simulator.Simulator` (same
+The contract: for any trace, policy and cluster configuration, the engine
+(:class:`~repro.cluster.streaming.StreamingSimulator` with
+``collect="full"``) makes *identical scheduling decisions* to the
+object-world oracle (:class:`tests.oracles.simulator.Simulator`: same
 executed regions, start/finish times and deferral counts) and produces
 footprints equal within 1e-9 relative.
 
@@ -15,16 +16,71 @@ scenario family is checked with the same assertions.
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSimulator, Simulator
+from repro.cluster import JobArrays, StreamingSimulator
+from repro.traces.stream import TraceSource, TraceView
+
+from tests.oracles.simulator import Simulator
 
 EQ_RTOL = 1e-9
 
 
+def run_engine(trace, scheduler, **kwargs):
+    """One ``collect="full"`` engine run over a materialized trace."""
+    return StreamingSimulator(TraceView(trace), scheduler, collect="full", **kwargs).run()
+
+
 def run_both(trace, make_scheduler, dataset, **kwargs):
-    """Run the same configuration through both engines (fresh schedulers)."""
+    """Run the same configuration through the oracle and the engine (fresh schedulers)."""
     scalar = Simulator(trace, make_scheduler(), dataset=dataset, **kwargs).run()
-    batch = BatchSimulator(trace, make_scheduler(), dataset=dataset, **kwargs).run()
+    batch = run_engine(trace, make_scheduler(), dataset=dataset, **kwargs)
     return scalar, batch
+
+
+def job_arrays(trace, region_keys) -> JobArrays:
+    """Columnar view of ``trace`` over ``region_keys`` (position ``i`` is ``trace[i]``)."""
+    keys = tuple(region_keys)
+    columns = trace.to_columns()
+    code = {key: i for i, key in enumerate(keys)}
+    return JobArrays(
+        region_keys=keys,
+        job_id=columns["job_id"],
+        arrival=columns["arrival_time"],
+        exec_est=columns["execution_time"],
+        exec_real=columns["realized_execution_time"],
+        energy_est=columns["energy_kwh"],
+        energy_real=columns["realized_energy_kwh"],
+        home_idx=np.array([code[home] for home in columns["home_region"]], dtype=np.int64),
+        package_gb=columns["package_gb"],
+        servers=columns["servers_required"],
+        workloads=columns["workload"],
+    )
+
+
+def oracle_simulate(calls=None):
+    """A drop-in for :func:`repro.analysis.sweep.simulate` that runs the oracle.
+
+    Monkeypatch it over ``sweep.simulate`` to route the experiments, the
+    sweeps and ``repro simulate`` through the oracle; ``calls`` (a list, if
+    given) records the name of every scheduler simulated.  Chaos runs raise,
+    as the oracle has no fault timeline.
+    """
+
+    def simulate(trace, scheduler, dataset, servers_per_region, delay_tolerance,
+                 scheduling_interval_s=300.0, regions=None, include_embodied=True,
+                 engine="batch", chunk_size=4096, chaos=None, chaos_seed=0,
+                 kernel="vector"):
+        if calls is not None:
+            calls.append(scheduler.name)
+        if isinstance(trace, TraceSource):
+            trace = trace.materialize()
+        return Simulator(
+            trace, scheduler, dataset=dataset, regions=regions,
+            servers_per_region=servers_per_region, delay_tolerance=delay_tolerance,
+            scheduling_interval_s=scheduling_interval_s,
+            include_embodied=include_embodied, chaos=chaos, chaos_seed=chaos_seed,
+        ).run()
+
+    return simulate
 
 
 def assert_equivalent(scalar, batch):

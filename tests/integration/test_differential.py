@@ -2,17 +2,16 @@
 
 This suite is the enforcement mechanism behind the fast-path contract: it
 iterates the *live* scheduler registry (:func:`available_schedulers`) against
-the *live* scenario library (:func:`available_scenarios`) and asserts that the
-batch engine reproduces the scalar engine's scheduling decisions exactly and
-its footprints within 1e-9 relative — whether the policy runs through a
-registered vectorized fast path or through the scalar fallback.
+the *live* scenario library (:func:`available_scenarios`) and asserts that
+the engine (:class:`~repro.cluster.streaming.StreamingSimulator`) reproduces
+the object-world oracle's scheduling decisions exactly and its footprints
+within 1e-9 relative — whether the policy runs through a registered
+vectorized fast path or through the scalar fallback.
 
-The streaming horizon engine rides the same harness: for every registered
-policy, :class:`~repro.cluster.streaming.StreamingSimulator` must produce a
-``BatchResult`` whose :meth:`digest` — every per-job decision column —
-equals the one-shot batch engine's at multiple chunk sizes, and a run
-checkpointed and resumed at *every* chunk boundary must produce that same
-digest.
+For every registered policy, the engine's ``BatchResult`` :meth:`digest` —
+every per-job decision column — must also equal a single-chunk run's at
+multiple chunk sizes, and a run checkpointed and resumed at *every* chunk
+boundary must produce that same digest.
 
 Because both axes are enumerated dynamically, a future policy registered with
 :func:`repro.schedulers.registry.register_scheduler` (or a new scenario added
@@ -26,12 +25,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSimulator, MultiPolicyRunner, Simulator, StreamingSimulator
+from repro.cluster import MultiPolicyRunner, StreamingSimulator
 from repro.schedulers import available_schedulers, has_fast_path, make_scheduler
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.scenarios import available_scenarios, get_scenario
+from repro.traces.stream import TraceView
+from tests.oracles.simulator import Simulator
 
-from ..equivalence import assert_equivalent, run_both
+from ..equivalence import assert_equivalent, run_both, run_engine
 
 #: Small per-scenario rates so each cell stays sub-second while still
 #: producing multi-round, multi-region schedules (None = family default).
@@ -67,7 +68,7 @@ _STREAM_SERVERS = 8
 
 @pytest.fixture(scope="module")
 def policy_sources(dataset, scenario_traces):
-    """Per-policy (chunked source, one-shot reference result), cached."""
+    """Per-policy (chunked source, single-chunk reference result), cached."""
     source = get_scenario("bursty").source(
         seed=13, rate_per_hour=_SCENARIO_RATES["bursty"], duration_days=_DURATION_DAYS
     )
@@ -75,12 +76,12 @@ def policy_sources(dataset, scenario_traces):
 
     def get(policy):
         if policy not in cache:
-            oneshot = BatchSimulator(
+            oneshot = run_engine(
                 scenario_traces["bursty"],
                 _policy_factory(policy)(),
                 dataset=dataset,
                 servers_per_region=_STREAM_SERVERS,
-            ).run()
+            )
             cache[policy] = (source, oneshot)
         return cache[policy]
 
@@ -122,8 +123,8 @@ class TestRegistryWideEquivalence:
 
     @pytest.mark.parametrize("solver", ["auto", "native", "structured", "scipy"])
     def test_waterwise_equivalence_per_solver_backend(self, solver, dataset, scenario_traces):
-        # The solve pipeline dispatches through four backends; the batch
-        # engine must reproduce the scalar engine under every one of them,
+        # The solve pipeline dispatches through four backends; the engine
+        # must reproduce the oracle under every one of them,
         # including a saturated cluster where capacity-bound rounds take the
         # transportation-LP path instead of the trivial argmin.
         from repro.core.config import WaterWiseConfig
@@ -141,8 +142,7 @@ class TestRegistryWideEquivalence:
         # Acceptance gate of the streaming tentpole: for every registered
         # scheduler, the streaming engine's per-job decisions (executed
         # regions, start/finish times, deferrals, footprints) are
-        # byte-identical to the one-shot batch engine at ≥ 2 distinct chunk
-        # sizes.
+        # byte-identical to a single-chunk run at ≥ 2 distinct chunk sizes.
         for policy in available_schedulers():
             source, oneshot = policy_sources(policy)
             for chunk_size in (37, 512):
@@ -160,7 +160,7 @@ class TestRegistryWideEquivalence:
     ):
         # Resume determinism: stop after k chunks, checkpoint to disk, resume
         # in a fresh engine — for every k and every registered scheduler the
-        # final digest must equal the one-shot run's.
+        # final digest must equal the single-chunk run's.
         chunk_size = 48
         for policy in available_schedulers():
             source, oneshot = policy_sources(policy)
@@ -185,7 +185,7 @@ class TestRegistryWideEquivalence:
         # Acceptance gate of the fused tentpole: one MultiPolicyRunner pass
         # over the whole registry produces, for every policy, a BatchResult
         # byte-identical (digest) to that policy's own streaming run and to
-        # the one-shot batch engine — at ≥ 2 distinct chunk sizes.
+        # a single-chunk run — at ≥ 2 distinct chunk sizes.
         policies = available_schedulers()
         source, _ = policy_sources(policies[0])
         for chunk_size in (37, 512):
@@ -213,15 +213,15 @@ class TestRegistryWideEquivalence:
         # saturated (2 servers — FIFO queues and equal-time tie-breaking in
         # play).  Digests must be byte-identical across all tiers.
         trace = scenario_traces["bursty"]
-        scalar = BatchSimulator(
+        scalar = run_engine(
             trace, _policy_factory(policy)(), dataset=dataset,
             servers_per_region=servers, kernel="scalar",
-        ).run()
+        )
         for kernel in ("vector", "compiled"):
-            other = BatchSimulator(
+            other = run_engine(
                 trace, _policy_factory(policy)(), dataset=dataset,
                 servers_per_region=servers, kernel=kernel,
-            ).run()
+            )
             assert scalar.digest() == other.digest(), (policy, servers, kernel)
             assert other.kernel_stats["kernel"] == kernel
 
@@ -236,7 +236,7 @@ class TestRegistryWideEquivalence:
     ):
         # Format-4 checkpoints carry no kernel-dependent state: a run started
         # on one tier, checkpointed mid-stream and resumed on another tier
-        # must land on the one-shot digest — every ordered pair of distinct
+        # must land on the single-chunk digest — every ordered pair of distinct
         # tiers is covered across the two cycles.
         source, oneshot = policy_sources("waterwise")
         engine = StreamingSimulator(
@@ -258,8 +258,8 @@ class TestRegistryWideEquivalence:
                                                        scenario_traces):
         # The array decision pipeline (vectorized slack + standard-form MILP,
         # the default) against the object reference pipeline (per-job slack
-        # scoring + Variable/Constraint model), through the scalar engine
-        # where both are reachable.
+        # scoring + Variable/Constraint model), through the object-world
+        # oracle where both are reachable.
         from repro.core.config import WaterWiseConfig
 
         trace = scenario_traces["bursty"]
@@ -389,7 +389,7 @@ class TestRegistryWideEquivalence:
 
     def test_sustainability_policies_use_fast_paths(self):
         # Guard the point of this PR: the paper's core policies no longer
-        # fall back to the scalar path inside the batch engine.
+        # fall back to the scalar path inside the engine.
         for name in ("waterwise", "ecovisor-like", "carbon-greedy-opt",
                      "water-greedy-opt", "waterwise-cost-aware"):
             assert has_fast_path(make_scheduler(name)), name
@@ -459,16 +459,16 @@ class TestChaosDifferential:
             dataset=dataset, servers_per_region=_CHAOS_SERVERS,
             chaos=chaos, chaos_seed=_CHAOS_SEED,
         )
-        vector = BatchSimulator(
+        vector = run_engine(
             trace, _policy_factory(policy)(), kernel="vector", **kwargs
-        ).run()
-        scalar = BatchSimulator(
+        )
+        scalar = run_engine(
             trace, _policy_factory(policy)(), kernel="scalar", **kwargs
-        ).run()
+        )
         assert vector.digest() == scalar.digest(), (policy, scenario, "kernel")
-        compiled = BatchSimulator(
+        compiled = run_engine(
             trace, _policy_factory(policy)(), kernel="compiled", **kwargs
-        ).run()
+        )
         assert compiled.digest() == scalar.digest(), (policy, scenario, "compiled")
         for chunk_size in (23, 512):
             streamed = StreamingSimulator(
@@ -495,7 +495,7 @@ class TestChaosDifferential:
             **kwargs,
         ).run()
         for policy in policies:
-            oneshot = BatchSimulator(trace, _policy_factory(policy)(), **kwargs).run()
+            oneshot = run_engine(trace, _policy_factory(policy)(), **kwargs)
             assert fused[policy].digest() == oneshot.digest(), (policy, scenario)
 
     @pytest.mark.parametrize("policy", available_schedulers())
@@ -507,13 +507,13 @@ class TestChaosDifferential:
             dataset=dataset, servers_per_region=2,
             chaos=_STORM_SPEC, chaos_seed=0,
         )
-        vector = BatchSimulator(
+        vector = run_engine(
             trace, _policy_factory(policy)(), kernel="vector", **kwargs
-        ).run()
+        )
         assert vector.total_evictions > 0, "the storm must evict"
-        scalar = BatchSimulator(
+        scalar = run_engine(
             trace, _policy_factory(policy)(), kernel="scalar", **kwargs
-        ).run()
+        )
         assert vector.digest() == scalar.digest(), policy
         streamed = StreamingSimulator(
             source, _policy_factory(policy)(), chunk_size=16, **kwargs
@@ -524,9 +524,9 @@ class TestChaosDifferential:
         # chaos=None must be byte-identical to a pre-chaos engine: same
         # digest columns (evictions all zero), same dataset object reused.
         trace = scenario_traces["bursty"]
-        engine = BatchSimulator(
-            trace, _policy_factory("baseline")(), dataset=dataset,
-            servers_per_region=_STREAM_SERVERS,
+        engine = StreamingSimulator(
+            TraceView(trace), _policy_factory("baseline")(), dataset=dataset,
+            servers_per_region=_STREAM_SERVERS, collect="full",
         )
         assert engine.chaos is None
         assert engine.dataset is dataset
@@ -537,10 +537,10 @@ class TestChaosDifferential:
 
 
 class TestLiveReplayDifferential:
-    """The live admission path is decision-identical to the batch engine.
+    """The live admission path is decision-identical to a single-chunk run.
 
     Replaying a recorded trace through the asyncio gateway — the exact code
-    path a live service uses — must reproduce the one-shot batch digest
+    path a live service uses — must reproduce the single-chunk digest
     byte-for-byte, fast-forwarded and wall-paced, with and without a chaos
     timeline, and across a checkpoint/resume of the live session.
     """
@@ -597,7 +597,7 @@ class TestLiveReplayDifferential:
             dataset=dataset, servers_per_region=_CHAOS_SERVERS,
             chaos=chaos, chaos_seed=_CHAOS_SEED,
         )
-        oneshot = BatchSimulator(trace, _policy_factory(policy)(), **kwargs).run()
+        oneshot = run_engine(trace, _policy_factory(policy)(), **kwargs)
         engine = StreamingSimulator(
             source, _policy_factory(policy)(), chunk_size=48, **kwargs
         )

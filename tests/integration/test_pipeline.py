@@ -9,7 +9,6 @@ import pytest
 
 from repro.analysis.savings import savings_table
 from repro.analysis.sweep import ExperimentScale, run_policies
-from repro.cluster import Simulator
 from repro.core import WaterWiseScheduler
 from repro.schedulers import (
     BaselineScheduler,
@@ -19,6 +18,8 @@ from repro.schedulers import (
     WaterGreedyOptimalScheduler,
     make_scheduler,
 )
+
+from ..equivalence import run_engine
 
 SCALE = ExperimentScale(rate_per_hour=25.0, duration_days=0.2, seed=17)
 
@@ -101,10 +102,10 @@ class TestDeterminism:
         trace, dataset, servers = setup
 
         def run():
-            return Simulator(
+            return run_engine(
                 trace, WaterWiseScheduler(), dataset=dataset,
                 servers_per_region=servers, delay_tolerance=0.5,
-            ).run()
+            )
 
         a, b = run(), run()
         assert a.total_carbon_g == pytest.approx(b.total_carbon_g)
@@ -114,9 +115,9 @@ class TestDeterminism:
     def test_registry_round_trip(self, setup):
         trace, dataset, servers = setup
         scheduler = make_scheduler("waterwise")
-        result = Simulator(
+        result = run_engine(
             trace, scheduler, dataset=dataset, servers_per_region=servers, delay_tolerance=0.25
-        ).run()
+        )
         assert result.scheduler_name == "waterwise"
         assert result.num_jobs == len(trace)
 
@@ -127,11 +128,11 @@ class TestDeterminism:
         from repro.traces import Trace
 
         reloaded = Trace.from_jsonl(path)
-        result_a = Simulator(
+        result_a = run_engine(
             trace, BaselineScheduler(), dataset=dataset, servers_per_region=servers
-        ).run()
-        result_b = Simulator(
+        )
+        result_b = run_engine(
             reloaded, BaselineScheduler(), dataset=dataset, servers_per_region=servers
-        ).run()
+        )
         assert result_a.total_carbon_g == pytest.approx(result_b.total_carbon_g)
         assert result_a.total_water_l == pytest.approx(result_b.total_water_l)

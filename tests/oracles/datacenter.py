@@ -1,4 +1,10 @@
-"""Per-region data-center capacity and queue model."""
+"""Per-region data-center capacity and queue model of the reference simulator.
+
+One object per region with its own server pool and FIFO wait queue, as the
+object-world :class:`tests.oracles.simulator.Simulator` uses it.  The engine
+keeps the same state as per-region arrays and deques
+(:class:`~repro.cluster.streaming.EngineState`).
+"""
 
 from __future__ import annotations
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import BatchSchedulingContext, FootprintCalculator, JobArrays
+from repro.cluster import BatchSchedulingContext, FootprintCalculator
 from repro.regions import TransferLatencyModel, default_regions
 from repro.schedulers import (
     BaselineScheduler,
@@ -19,6 +19,7 @@ from repro.schedulers import (
 )
 from repro.traces import Trace
 
+from ..equivalence import job_arrays
 from .conftest import make_job
 
 
@@ -31,7 +32,7 @@ def batch_context(dataset, regions, latency, footprints):
             jobs = [make_job(i, region=["zurich", "mumbai", "milan"][i % 3]) for i in range(6)]
         trace = Trace(jobs)
         keys = tuple(key for key in dataset.region_keys)
-        arrays = JobArrays.from_trace(trace, keys)
+        arrays = job_arrays(trace, keys)
         if capacity is None:
             capacity = np.full(len(keys), 10, dtype=np.int64)
         batch = np.arange(arrays.n, dtype=np.int64)

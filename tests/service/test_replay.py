@@ -9,7 +9,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import BatchSimulator, StreamingSimulator
+from repro.cluster import StreamingSimulator
 from repro.schedulers import make_scheduler
 from repro.service import (
     AdmissionGateway,
@@ -21,6 +21,8 @@ from repro.service import (
 )
 from repro.sustainability import ElectricityMapsLikeProvider
 from repro.traces.scenarios import scenario_source
+
+from ..equivalence import run_engine
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +37,10 @@ def source():
 
 @pytest.fixture(scope="module")
 def batch_digest(source, dataset):
-    return BatchSimulator(
+    return run_engine(
         source.materialize(), make_scheduler("waterwise"), dataset=dataset,
         servers_per_region=8,
-    ).run().digest()
+    ).digest()
 
 
 def _engine(source, dataset, **kwargs):

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis import sweep
 from repro.cli import build_parser, main
+
+from .equivalence import oracle_simulate
 
 
 class TestParser:
@@ -73,17 +76,21 @@ class TestCommands:
         with pytest.raises(KeyError):
             main(["simulate", "--policies", "slurm", "--jobs-per-hour", "5", "--hours", "1"])
 
-    def test_simulate_batch_engine_matches_scalar(self, capsys):
+    def test_simulate_batch_engine_matches_scalar(self, capsys, monkeypatch):
         common = [
             "simulate", "--policies", "baseline", "round-robin",
             "--jobs-per-hour", "15", "--hours", "3", "--seed", "4",
         ]
-        assert main(common + ["--engine", "scalar"]) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(common + ["--engine", "batch"]) == 0
-        batch_out = capsys.readouterr().out
-        # Identical tables: totals and savings agree digit for digit.
-        assert batch_out == scalar_out
+        assert main(common) == 0
+        engine_out = capsys.readouterr().out
+        # The same command with every simulation run by the object-world
+        # oracle prints the same bytes: trace line, Totals and Savings.
+        calls: list[str] = []
+        monkeypatch.setattr(sweep, "simulate", oracle_simulate(calls))
+        assert main(common) == 0
+        oracle_out = capsys.readouterr().out
+        assert calls == ["baseline", "round-robin"]
+        assert engine_out == oracle_out
 
 
 class TestStreamingCli:

@@ -2,7 +2,7 @@
 
 ``python -m repro simulate --engine batch --scenario <name>`` must emit
 byte-identical output for a fixed seed: the trace generators, the
-sustainability dataset, the batch engine and the report formatting are all
+sustainability dataset, the engine and the report formatting are all
 deterministic, so any diff against the goldens means observable behaviour
 changed.  Regenerate a golden deliberately with::
 
@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import sweep
 from repro.cli import main
+
+from .equivalence import oracle_simulate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -44,6 +47,11 @@ GOLDEN_COMMANDS = {
     "scenarios.txt": ["scenarios"],
 }
 
+#: Goldens that simulate without a chaos timeline (the oracle has none).
+ORACLE_GOLDENS = (
+    "simulate_diurnal.txt", "simulate_heavy_tail.txt", "simulate_ml_training.txt",
+)
+
 
 @pytest.mark.parametrize("golden_name", sorted(GOLDEN_COMMANDS))
 def test_cli_output_is_byte_stable(golden_name, capsys):
@@ -63,14 +71,27 @@ def test_golden_runs_are_repeatable(capsys):
     assert first == second
 
 
-def test_scenario_engines_agree_on_reported_totals(capsys):
-    """The batch and scalar engines print identical summaries."""
-    base = [
-        "simulate", "--scenario", "region-skew", "--policies", "baseline",
-        "--jobs-per-hour", "20", "--hours", "4", "--seed", "5",
+def test_scenario_engines_agree_on_reported_totals(capsys, monkeypatch):
+    """The CLI's batch output equals the object-world oracle's, byte for byte."""
+    argv = [
+        "simulate", "--engine", "batch", "--scenario", "region-skew",
+        "--policies", "baseline", "--jobs-per-hour", "20", "--hours", "4", "--seed", "5",
     ]
-    assert main([*base, "--engine", "batch"]) == 0
-    batch_output = capsys.readouterr().out
-    assert main([*base, "--engine", "scalar"]) == 0
-    scalar_output = capsys.readouterr().out
-    assert batch_output == scalar_output
+    assert main(argv) == 0
+    engine_output = capsys.readouterr().out
+    calls: list[str] = []
+    monkeypatch.setattr(sweep, "simulate", oracle_simulate(calls))
+    assert main(argv) == 0
+    assert calls == ["baseline"]
+    assert capsys.readouterr().out == engine_output
+
+
+@pytest.mark.parametrize("golden_name", sorted(ORACLE_GOLDENS))
+def test_oracle_reproduces_golden(golden_name, capsys, monkeypatch):
+    """Every chaos-free golden is also what the object-world oracle prints."""
+    calls: list[str] = []
+    monkeypatch.setattr(sweep, "simulate", oracle_simulate(calls))
+    assert main(GOLDEN_COMMANDS[golden_name]) == 0
+    assert calls, "the oracle must actually simulate"
+    expected = (GOLDEN_DIR / golden_name).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
